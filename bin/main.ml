@@ -128,9 +128,7 @@ let observe_event_run ctx trace (r : Event_sim.result) =
 let observe_cache cache =
   let st = Simulate.cache_stats cache in
   Metrics.incr ~by:st.Simulate.hits "sim.cache.hits";
-  Metrics.incr ~by:st.Simulate.misses "sim.cache.misses";
-  Metrics.set_gauge "sim.cache.nodes"
-    (float_of_int (Simulate.cache_nodes cache))
+  Metrics.incr ~by:st.Simulate.misses "sim.cache.misses"
 
 (* Machine-readable simulation report, shared by `simulate --json` and
    `timeline --json`.  Numbers use Profile.json_float, so totals compare
@@ -156,6 +154,33 @@ let report_json ~bench ~config ~engine (rep : Simulate.report) area =
     (1e3 *. Machine.seconds Machine.default rep.Simulate.cycles)
 
 let tiling_of bench = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog
+
+(* Resolve --tiles/--sizes NAME=N bindings against size parameters by
+   base name.  An unknown name or a value <= 0 is a usage error: the
+   message names the binding and the command exits 2. *)
+let resolve_bindings ~cmd ~flag params spec =
+  List.map
+    (fun (name, v) ->
+      let fail why =
+        Printf.eprintf "%s: %s %s=%d: %s\n" cmd flag name v why;
+        exit 2
+      in
+      match List.find_opt (fun s -> Sym.base s = name) params with
+      | None ->
+          fail
+            (Printf.sprintf "no size parameter %s (have: %s)" name
+               (String.concat ", " (List.map Sym.base params)))
+      | Some _ when v <= 0 -> fail "values must be positive"
+      | Some s -> (s, v))
+    spec
+
+let load_program file =
+  let ic = open_in file in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let prog = Parser.program_of_string text in
+  ignore (Validate.check_program prog);
+  prog
 
 let stage_prog bench = function
   | `Fused -> (tiling_of bench).Tiling.fused
@@ -255,8 +280,8 @@ let simulate_cmd =
   let run bench config engine breakdown bottlenecks json trace metrics =
     obs_wrap trace metrics @@ fun () ->
     let d = Experiments.design_of config bench in
-    (* one memo cache serves the report, the breakdown and the
-       bottleneck table — each subtree is simulated once *)
+    (* one cache serves the report, the breakdown and the bottleneck
+       table from a single simulation tree *)
     let cache = Simulate.cache () in
     let rep =
       match engine with
@@ -462,27 +487,14 @@ let compile_cmd =
   in
   let run file tiles_spec sizes_spec engine trace metrics =
     obs_wrap trace metrics @@ fun () ->
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    let prog = Parser.program_of_string text in
-    ignore (Validate.check_program prog);
+    let prog = load_program file in
+    let resolve flag =
+      resolve_bindings ~cmd:"compile" ~flag prog.Ir.size_params
+    in
+    let tiles = resolve "--tiles" tiles_spec in
+    let sizes = resolve "--sizes" sizes_spec in
     Printf.printf "parsed %s: %d IR nodes, result type ok\n" prog.Ir.pname
       (Rewrite.node_count prog.Ir.body);
-    let resolve spec =
-      List.filter_map
-        (fun (name, v) ->
-          match
-            List.find_opt (fun s -> Sym.base s = name) prog.Ir.size_params
-          with
-          | Some s -> Some (s, v)
-          | None ->
-              Printf.printf "warning: no size parameter %s\n" name;
-              None)
-        spec
-    in
-    let tiles = resolve tiles_spec in
     let r = Tiling.run ~tiles prog in
     print_endline (Pp.program_to_string r.Tiling.tiled);
     let d = Lower.program Lower.default_opts r.Tiling.tiled in
@@ -493,7 +505,7 @@ let compile_cmd =
         List.iter (fun f -> Format.printf "design check: %a@." Diagnostic.pp f) fs;
         if Diagnostic.has_errors fs then exit 1
         else Printf.printf "design check: ok (%s)\n" (Diagnostic.summary fs));
-    match resolve sizes_spec with
+    match sizes with
     | [] -> ignore engine
     | sizes ->
         let rep =
@@ -990,7 +1002,9 @@ let profile_cmd =
     Arg.(
       value & opt (list (pair ~sep:'=' string int)) []
       & info [ "tiles" ] ~docv:"NAME=SIZE,..."
-          ~doc:"Tile configuration by size-parameter base name (.ppl targets).")
+          ~doc:
+            "Tile configuration by size-parameter base name (.ppl targets \
+             only; $(b,-c) fixes a benchmark's tiles).")
   in
   let sizes_arg =
     Arg.(
@@ -1021,41 +1035,43 @@ let profile_cmd =
   in
   let run target config tiles_spec sizes_spec json folded trace metrics =
     obs_wrap trace metrics @@ fun () ->
+    let resolve = resolve_bindings ~cmd:"profile" in
     let design, sizes =
       if Sys.file_exists target then begin
-        let ic = open_in target in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        let prog = Parser.program_of_string text in
-        ignore (Validate.check_program prog);
-        let resolve spec =
-          List.filter_map
-            (fun (name, v) ->
-              match
-                List.find_opt
-                  (fun s -> Sym.base s = name)
-                  prog.Ir.size_params
-              with
-              | Some s -> Some (s, v)
-              | None ->
-                  Printf.eprintf "warning: no size parameter %s\n" name;
-                  None)
-            spec
-        in
-        let sizes = resolve sizes_spec in
+        let prog = load_program target in
+        let sizes = resolve ~flag:"--sizes" prog.Ir.size_params sizes_spec in
         if sizes = [] then begin
           Printf.eprintf
             "profile: %s: --sizes NAME=N,... is required for .ppl targets\n"
             target;
           exit 2
         end;
-        let r = Tiling.run ~tiles:(resolve tiles_spec) prog in
+        let tiles = resolve ~flag:"--tiles" prog.Ir.size_params tiles_spec in
+        let r = Tiling.run ~tiles prog in
         (Lower.program Lower.default_opts r.Tiling.tiled, sizes)
       end
       else
         match Suite.find (benches ()) target with
-        | b -> (Experiments.design_of config b, b.Suite.sim_sizes)
+        | b ->
+            if tiles_spec <> [] then begin
+              Printf.eprintf
+                "profile: %s: --tiles applies to .ppl targets only (-c \
+                 fixes a benchmark's tiles)\n"
+                target;
+              exit 2
+            end;
+            (* --sizes overrides the benchmark's simulation sizes *)
+            let over =
+              resolve ~flag:"--sizes" (List.map fst b.Suite.sim_sizes)
+                sizes_spec
+            in
+            let sizes =
+              List.map
+                (fun (s, v) ->
+                  (s, Option.value (List.assq_opt s over) ~default:v))
+                b.Suite.sim_sizes
+            in
+            (Experiments.design_of config b, sizes)
         | exception Not_found ->
             Printf.eprintf "unknown benchmark or file %S (try: %s)\n" target
               (String.concat ", "

@@ -1,14 +1,14 @@
 (* Cycle / traffic / area attribution by source-pattern provenance.
 
-   The analytic simulator assigns every controller subtree a
-   per-invocation result (cycles, DRAM-busy cycles, traffic).  This pass
-   distributes the design's total cycles down the controller tree so
-   that every node receives the share the composing rules gave it, then
-   aggregates shares by the provenance stamped on each node — answering
-   "which source pattern do these cycles (and this traffic, and this
-   area) belong to?".
+   The analytic simulator's annotated tree ({!Simulate.tree}) gives every
+   controller subtree a per-invocation result (cycles, DRAM-busy cycles,
+   traffic) and the terms its composition used.  This pass distributes
+   the design's total cycles down that tree so that every node receives
+   the share the composing rules gave it, then aggregates shares by the
+   provenance stamped on each node — answering "which source pattern do
+   these cycles (and this traffic, and this area) belong to?".
 
-   Distribution rules mirror the simulator's composition exactly:
+   Distribution reads the stored terms; it re-derives no rule:
    - Seq / Par / sequential Loop: children split the parent's total in
      proportion to their standalone per-invocation cycles;
    - metapipelined Loop: each stage is weighted by its first-iteration
@@ -64,111 +64,67 @@ type t = {
 
 let sum f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
 
-let trips_product sizes trips =
-  Float.max 1.0
-    (List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips)
-
 (* local scheduling transients of one controller, given the factor [f]
    scaling its per-invocation cycles up to its attributed total *)
-let local_split sizes f (c : Hw.ctrl) (r : Simulate.node_report)
-    (stage_rs : Simulate.node_report list) =
-  match c with
-  | Hw.Pipe { trips; par; depth; ii; _ } ->
-      let iters =
-        List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips
-      in
-      let compute =
-        float_of_int depth
-        +. (ceil (iters /. float_of_int (Int.max 1 par)) *. float_of_int ii)
-      in
-      let fill = f *. float_of_int depth in
-      let dram = f *. Float.max 0.0 (r.Simulate.nr_dram -. compute) in
-      (fill, dram)
-  | Hw.Tile_load _ | Hw.Tile_store _ -> (0.0, f *. r.Simulate.nr_cycles)
-  | Hw.Loop { trips; meta = true; _ } when List.length stage_rs > 1 ->
-      let iter = trips_product sizes trips in
-      let per_iter_sum = sum (fun s -> s.Simulate.nr_cycles) stage_rs in
-      let slowest =
-        List.fold_left
-          (fun acc s -> Float.max acc s.Simulate.nr_cycles)
-          0.0 stage_rs
-      in
-      let dram_sum = sum (fun s -> s.Simulate.nr_dram) stage_rs in
-      let steady_rate = Float.max slowest dram_sum in
-      let fill = f *. Float.max 0.0 (per_iter_sum -. steady_rate) in
-      let dram =
-        f *. (iter -. 1.0) *. Float.max 0.0 (dram_sum -. slowest)
-      in
-      (fill, dram)
-  | _ -> (0.0, 0.0)
+let local_split f (n : Simulate.node) =
+  match n.Simulate.n_terms with
+  | Simulate.Pipe_terms { compute; depth } ->
+      (f *. depth, f *. Float.max 0.0 (n.Simulate.n_dram -. compute))
+  | Simulate.Transfer -> (0.0, f *. n.Simulate.n_cycles)
+  | Simulate.Meta { per_iter; slowest; dram_sum; steady } ->
+      let slow = (List.nth n.Simulate.n_children slowest).Simulate.n_cycles in
+      ( f *. Float.max 0.0 (per_iter -. steady),
+        f *. (n.Simulate.n_trips -. 1.0) *. Float.max 0.0 (dram_sum -. slow) )
+  | Simulate.Plain -> (0.0, 0.0)
 
 (* weights by which a controller's total is split among its children;
-   they sum to the parent's own per-invocation cycles by construction *)
-let child_weights sizes (c : Hw.ctrl) (rs : Simulate.node_report list) =
-  match c with
-  | Hw.Loop { trips; meta = true; _ } when List.length rs > 1 ->
-      let iter = trips_product sizes trips in
-      let slowest =
-        List.fold_left
-          (fun acc r -> Float.max acc r.Simulate.nr_cycles)
-          0.0 rs
-      in
-      let dram_sum = sum (fun r -> r.Simulate.nr_dram) rs in
-      let steady_rate = Float.max slowest dram_sum in
-      let stage_bound = slowest >= dram_sum in
-      (* first slowest stage wins ties, deterministically *)
-      let argmax =
-        let rec go i best besti = function
-          | [] -> besti
-          | r :: rest ->
-              if r.Simulate.nr_cycles > best then
-                go (i + 1) r.Simulate.nr_cycles i rest
-              else go (i + 1) best besti rest
-        in
-        go 0 Float.neg_infinity (-1) rs
+   they sum to the parent's own per-invocation cycles by construction.
+   A metapipeline's stage gets its first-iteration cycles plus its share
+   of the steady state: all of it to the slowest stage when the loop is
+   stage-bound, DRAM-busy-proportional shares when the channel
+   serializes the stages. *)
+let child_weights (n : Simulate.node) =
+  let kids = n.Simulate.n_children in
+  match n.Simulate.n_terms with
+  | Simulate.Meta { slowest; dram_sum; steady; _ } ->
+      let stage_bound =
+        (List.nth kids slowest).Simulate.n_cycles >= dram_sum
       in
       List.mapi
-        (fun i r ->
+        (fun i (k : Simulate.node) ->
           let steady_share =
-            if stage_bound then if i = argmax then steady_rate else 0.0
+            if stage_bound then if i = slowest then steady else 0.0
             else if dram_sum > 0.0 then
-              steady_rate *. r.Simulate.nr_dram /. dram_sum
+              steady *. k.Simulate.n_dram /. dram_sum
             else 0.0
           in
-          r.Simulate.nr_cycles +. ((iter -. 1.0) *. steady_share))
-        rs
-  | _ -> List.map (fun r -> r.Simulate.nr_cycles) rs
+          k.Simulate.n_cycles +. ((n.Simulate.n_trips -. 1.0) *. steady_share))
+        kids
+  | Simulate.Plain | Simulate.Transfer | Simulate.Pipe_terms _ ->
+      List.map (fun (k : Simulate.node) -> k.Simulate.n_cycles) kids
 
-let child_invocations sizes (c : Hw.ctrl) invocations =
-  match c with
-  | Hw.Loop { trips; _ } -> invocations *. trips_product sizes trips
-  | _ -> invocations
+let scaled_traffic k t =
+  List.map (fun (a, w) -> (a, k *. w)) (Simulate.Smap.bindings t)
 
-let scale_traffic k t = List.map (fun (a, w) -> (a, k *. w)) t
-
-let of_design ?(machine = Machine.default) ?cache (d : Hw.design) ~sizes =
-  let q = Simulate.measure ~machine ?cache d ~sizes in
+let of_design ?machine ?cache (d : Hw.design) ~sizes =
   let fill_acc = ref 0.0 and dram_acc = ref 0.0 in
-  let rec build c ~total ~invocations =
-    let r = q c in
+  let rec build (n : Simulate.node) ~total ~invocations =
+    let c = n.Simulate.n_ctrl in
     let f =
-      if r.Simulate.nr_cycles > 0.0 then total /. r.Simulate.nr_cycles
-      else 0.0
+      if n.Simulate.n_cycles > 0.0 then total /. n.Simulate.n_cycles else 0.0
     in
-    let kids = Hw.children c in
-    let krs = List.map q kids in
-    let fill, dram = local_split sizes f c r krs in
+    let fill, dram = local_split f n in
     fill_acc := !fill_acc +. fill;
     dram_acc := !dram_acc +. dram;
-    let weights = child_weights sizes c krs in
+    let weights = child_weights n in
     let wsum = List.fold_left ( +. ) 0.0 weights in
-    let kinv = child_invocations sizes c invocations in
+    let kinv = invocations *. n.Simulate.n_trips in
     let children =
       List.map2
         (fun k w ->
           let share = if wsum > 0.0 then total *. w /. wsum else 0.0 in
           build k ~total:share ~invocations:kinv)
-        kids weights
+        n.Simulate.n_children weights
     in
     let self = total -. sum (fun n -> n.total) children in
     { name = Hw.ctrl_name c;
@@ -180,15 +136,13 @@ let of_design ?(machine = Machine.default) ?cache (d : Hw.design) ~sizes =
       fill;
       steady = Float.max 0.0 (total -. fill -. dram);
       dram;
-      reads = scale_traffic invocations r.Simulate.nr_reads;
-      writes = scale_traffic invocations r.Simulate.nr_writes;
+      reads = scaled_traffic invocations n.Simulate.n_reads;
+      writes = scaled_traffic invocations n.Simulate.n_writes;
       area = Area_model.ctrl_cost c;
       children }
   in
-  let root_r = q d.Hw.top in
-  let root =
-    build d.Hw.top ~total:root_r.Simulate.nr_cycles ~invocations:1.0
-  in
+  let t = Simulate.tree ?machine ?cache d ~sizes in
+  let root = build t ~total:t.Simulate.n_cycles ~invocations:1.0 in
   (* by-origin aggregation *)
   let tbl = Hashtbl.create 16 in
   let rec visit n =
@@ -250,7 +204,7 @@ let of_design ?(machine = Machine.default) ?cache (d : Hw.design) ~sizes =
   let dram = Float.min !dram_acc (total -. fill) in
   { design_name = d.Hw.design_name;
     total_cycles = total;
-    dram_cycles = root_r.Simulate.nr_dram;
+    dram_cycles = t.Simulate.n_dram;
     fill_cycles = fill;
     steady_cycles = Float.max 0.0 (total -. fill -. dram);
     dram_serial_cycles = dram;

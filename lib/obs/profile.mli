@@ -1,7 +1,8 @@
 (** Source-pattern attribution profiler.
 
-    Distributes a design's simulated cycles down the controller tree
-    following the simulator's own composition rules, then aggregates
+    Distributes a design's simulated cycles down the simulator's
+    annotated tree ({!Simulate.tree}), reading the composition terms
+    each node recorded, then aggregates
     cycles, DRAM traffic and area by the provenance stamped on each
     controller and memory — answering "which source pattern costs
     what?".  Attribution is complete by construction: the root total is
@@ -60,6 +61,8 @@ val of_design :
   Hw.design ->
   sizes:(Sym.t * int) list ->
   t
+(** [?cache] shares the simulation tree with {!Simulate.run} and the
+    other views of the same design. *)
 
 val total_cycles : t -> float
 

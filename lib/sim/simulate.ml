@@ -21,23 +21,6 @@ let add_words t arr words =
 let merge_traffic a b = Smap.union (fun _ x y -> Some (x +. y)) a b
 let scale_traffic f t = Smap.map (fun w -> f *. w) t
 
-(* per-invocation result of one controller *)
-type node_res = {
-  n_cycles : float;
-  n_dram : float;
-  n_reads : float Smap.t;
-  n_writes : float Smap.t;
-}
-
-let zero =
-  { n_cycles = 0.0; n_dram = 0.0; n_reads = Smap.empty; n_writes = Smap.empty }
-
-let seq_compose a b =
-  { n_cycles = a.n_cycles +. b.n_cycles;
-    n_dram = a.n_dram +. b.n_dram;
-    n_reads = merge_traffic a.n_reads b.n_reads;
-    n_writes = merge_traffic a.n_writes b.n_writes }
-
 (* Direct-access traffic: outermost-in, dependent loops multiply; an
    independent loop multiplies only when the footprint beneath it exceeds
    the stream cache. *)
@@ -91,186 +74,166 @@ let cached_footprint (_m : Machine.t) sizes (da : Hw.dram_access) =
   in
   go da.Hw.da_path
 
-(* ------------------------- memoized sim ---------------------------- *)
+(* ------------------------- the annotated tree ---------------------- *)
 
-(* Identity-keyed table over controller subtrees.  A node's result is a
-   function of (machine, sizes, structure) only, so memoizing on physical
-   identity is sound; physically equal nodes are structurally equal, so
-   the default structural hash (bounded-depth, O(1)) is a valid hash for
-   ( == ). *)
-module Ctbl = Hashtbl.Make (struct
-  type t = Hw.ctrl
+type terms =
+  | Plain
+  | Transfer
+  | Pipe_terms of { compute : float; depth : float }
+  | Meta of { per_iter : float; slowest : int; dram_sum : float; steady : float }
 
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+type node = {
+  n_ctrl : Hw.ctrl;
+  n_cycles : float;
+  n_dram : float;
+  n_reads : float Smap.t;
+  n_writes : float Smap.t;
+  n_trips : float;
+  n_terms : terms;
+  n_children : node list;
+}
+
+let trip_product sizes trips =
+  List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips
+
+(* in-order sums over a controller's children: cycles, DRAM-busy cycles
+   and traffic *)
+let totals kids =
+  List.fold_left
+    (fun (cyc, dram, reads, writes) k ->
+      ( cyc +. k.n_cycles,
+        dram +. k.n_dram,
+        merge_traffic reads k.n_reads,
+        merge_traffic writes k.n_writes ))
+    (0.0, 0.0, Smap.empty, Smap.empty)
+    kids
+
+(* index of the first slowest child *)
+let slowest_index kids =
+  let rec go i best besti = function
+    | [] -> besti
+    | k :: rest ->
+        if k.n_cycles > best then go (i + 1) k.n_cycles i rest
+        else go (i + 1) best besti rest
+  in
+  match kids with [] -> 0 | k :: rest -> go 1 k.n_cycles 0 rest
+
+let node c ?(trips = 1.0) ?(children = []) ~cycles ~dram ~reads ~writes terms =
+  { n_ctrl = c; n_cycles = cycles; n_dram = dram; n_reads = reads;
+    n_writes = writes; n_trips = trips; n_terms = terms; n_children = children }
+
+(* tile load/store units: one request latency plus the streamed words,
+   all of it DRAM-busy *)
+let transfer (m : Machine.t) c words ~reads ~writes =
+  let cyc = m.Machine.tile_latency +. (words /. m.Machine.stream_words_per_cycle) in
+  node c ~cycles:cyc ~dram:cyc ~reads ~writes Transfer
+
+let rec build (m : Machine.t) sizes (c : Hw.ctrl) : node =
+  match c with
+  | Hw.Seq { children; _ } ->
+      let kids = List.map (build m sizes) children in
+      let cycles, dram, reads, writes = totals kids in
+      node c ~children:kids ~cycles ~dram ~reads ~writes Plain
+  | Hw.Par { children; _ } ->
+      let kids = List.map (build m sizes) children in
+      let _, dram, reads, writes = totals kids in
+      let cycles =
+        Float.max
+          (List.fold_left (fun acc k -> Float.max acc k.n_cycles) 0.0 kids)
+          dram
+      in
+      node c ~children:kids ~cycles ~dram ~reads ~writes Plain
+  | Hw.Loop { trips; meta; stages; _ } ->
+      let kids = List.map (build m sizes) stages in
+      let iter = Float.max (trip_product sizes trips) 1.0 in
+      let per_iter, dram_sum, reads, writes = totals kids in
+      let cycles, terms =
+        if meta && List.length kids > 1 then begin
+          (* fill once, then the steady-state bottleneck per iteration:
+             the slowest stage, but at least the DRAM serialization *)
+          let slowest = slowest_index kids in
+          let steady =
+            Float.max (List.nth kids slowest).n_cycles dram_sum
+          in
+          ( per_iter +. ((iter -. 1.0) *. steady),
+            Meta { per_iter; slowest; dram_sum; steady } )
+        end
+        else (iter *. per_iter, Plain)
+      in
+      node c ~trips:iter ~children:kids ~cycles ~dram:(iter *. dram_sum)
+        ~reads:(scale_traffic iter reads) ~writes:(scale_traffic iter writes)
+        terms
+  | Hw.Pipe { trips; par; depth; ii; dram; _ } ->
+      let iters = trip_product sizes trips in
+      let depth = float_of_int depth in
+      let compute =
+        depth +. (ceil (iters /. float_of_int (Int.max 1 par)) *. float_of_int ii)
+      in
+      let busy, reads, writes =
+        List.fold_left
+          (fun (busy, reads, writes) da ->
+            let words = direct_words m sizes da in
+            let cyc = direct_cycles m sizes par words da in
+            let arr = da.Hw.da_array in
+            match da.Hw.da_kind with
+            | `Read -> (busy +. cyc, add_words reads arr words, writes)
+            | `Cached ->
+                (* the cache fetches only the compulsory footprint;
+                   [busy +. cyc -. cyc] is kept unsimplified so the
+                   float sums stay bit-identical to recorded results *)
+                let fp = Float.min (cached_footprint m sizes da) words in
+                ( busy +. cyc -. cyc +. (fp /. m.Machine.stream_words_per_cycle),
+                  add_words reads arr fp,
+                  writes )
+            | `Write -> (busy +. cyc, reads, add_words writes arr words))
+          (0.0, Smap.empty, Smap.empty)
+          dram
+      in
+      node c ~cycles:(Float.max compute busy) ~dram:busy ~reads ~writes
+        (Pipe_terms { compute; depth })
+  | Hw.Tile_load { words; reuse; array; _ } ->
+      let w = Hw.trip_eval sizes words /. float_of_int (Int.max 1 reuse) in
+      transfer m c w ~reads:(Smap.singleton array w) ~writes:Smap.empty
+  | Hw.Tile_store { words; array; _ } ->
+      let w = Hw.trip_eval sizes words in
+      transfer m c w ~reads:Smap.empty ~writes:(Smap.singleton array w)
+
+(* ------------------------- the tree slot --------------------------- *)
 
 type cache = {
-  mutable ckey : (Machine.t * (Sym.t * int) list) option;
-  tbl : node_res Ctbl.t;
-  mutable hits : int;  (** lifetime lookup hits (survive resets) *)
-  mutable misses : int;  (** lifetime misses = distinct subtrees simulated *)
+  mutable held : (Hw.ctrl * Machine.t * (Sym.t * int) list * node) option;
+  mutable hits : int;  (** views served from the held tree *)
+  mutable misses : int;  (** trees built *)
 }
 
 type cache_stats = { hits : int; misses : int }
 
-let cache () = { ckey = None; tbl = Ctbl.create 64; hits = 0; misses = 0 }
+let cache () = { held = None; hits = 0; misses = 0 }
 let cache_stats (c : cache) = { hits = c.hits; misses = c.misses }
-let cache_nodes c = Ctbl.length c.tbl
 
-(* a cache is only valid for one (machine, sizes) pair: reset on change
-   (the hit/miss counters are lifetime totals and are not reset) *)
-let prepare cache machine sizes =
-  match cache.ckey with
-  | Some (m, s) when m == machine && s == sizes -> ()
-  | Some (m, s) when m = machine && s = sizes -> ()
-  | _ ->
-      Ctbl.reset cache.tbl;
-      cache.ckey <- Some (machine, sizes)
+let tree ?(machine = Machine.default) ?cache (d : Hw.design) ~sizes =
+  match cache with
+  | None -> build machine sizes d.Hw.top
+  | Some c -> (
+      match c.held with
+      | Some (top, m, s, t)
+        when top == d.Hw.top
+             && (m == machine || m = machine)
+             && (s == sizes || s = sizes) ->
+          c.hits <- c.hits + 1;
+          t
+      | _ ->
+          c.misses <- c.misses + 1;
+          let t = build machine sizes d.Hw.top in
+          c.held <- Some (d.Hw.top, machine, sizes, t);
+          t)
 
-let rec sim cc (m : Machine.t) sizes (c : Hw.ctrl) : node_res =
-  match Ctbl.find_opt cc.tbl c with
-  | Some r ->
-      cc.hits <- cc.hits + 1;
-      r
-  | None ->
-      cc.misses <- cc.misses + 1;
-      let r = sim_uncached cc m sizes c in
-      Ctbl.add cc.tbl c r;
-      r
-
-and sim_uncached cc (m : Machine.t) sizes (c : Hw.ctrl) : node_res =
-  match c with
-  | Hw.Seq { children; _ } ->
-      List.fold_left (fun acc ch -> seq_compose acc (sim cc m sizes ch)) zero
-        children
-  | Hw.Par { children; _ } ->
-      let rs = List.map (sim cc m sizes) children in
-      { n_cycles =
-          Float.max
-            (List.fold_left (fun acc r -> Float.max acc r.n_cycles) 0.0 rs)
-            (List.fold_left (fun acc r -> acc +. r.n_dram) 0.0 rs);
-        n_dram = List.fold_left (fun acc r -> acc +. r.n_dram) 0.0 rs;
-        n_reads =
-          List.fold_left
-            (fun acc r -> merge_traffic acc r.n_reads)
-            Smap.empty rs;
-        n_writes =
-          List.fold_left
-            (fun acc r -> merge_traffic acc r.n_writes)
-            Smap.empty rs }
-  | Hw.Loop { trips; meta; stages; _ } ->
-      let rs = List.map (sim cc m sizes) stages in
-      let iter =
-        List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips
-      in
-      let iter = Float.max iter 1.0 in
-      let per_iter_sum =
-        List.fold_left (fun acc r -> acc +. r.n_cycles) 0.0 rs
-      in
-      let cycles =
-        if meta && List.length rs > 1 then begin
-          (* fill once, then the steady-state bottleneck per iteration:
-             the slowest stage, but at least the DRAM serialization *)
-          let slowest =
-            List.fold_left (fun acc r -> Float.max acc r.n_cycles) 0.0 rs
-          in
-          let dram_sum = List.fold_left (fun acc r -> acc +. r.n_dram) 0.0 rs in
-          per_iter_sum +. ((iter -. 1.0) *. Float.max slowest dram_sum)
-        end
-        else iter *. per_iter_sum
-      in
-      { n_cycles = cycles;
-        n_dram =
-          iter *. List.fold_left (fun acc r -> acc +. r.n_dram) 0.0 rs;
-        n_reads =
-          scale_traffic iter
-            (List.fold_left
-               (fun acc r -> merge_traffic acc r.n_reads)
-               Smap.empty rs);
-        n_writes =
-          scale_traffic iter
-            (List.fold_left
-               (fun acc r -> merge_traffic acc r.n_writes)
-               Smap.empty rs) }
-  | Hw.Pipe { trips; par; depth; ii; dram; _ } ->
-      let iters =
-        List.fold_left (fun acc t -> acc *. Hw.trip_eval sizes t) 1.0 trips
-      in
-      let compute =
-        float_of_int depth
-        +. (ceil (iters /. float_of_int (Int.max 1 par)) *. float_of_int ii)
-      in
-      let dram_res =
-        List.fold_left
-          (fun acc da ->
-            let words = direct_words m sizes da in
-            let cyc = direct_cycles m sizes par words da in
-            let acc = { acc with n_dram = acc.n_dram +. cyc } in
-            match da.Hw.da_kind with
-            | `Read ->
-                { acc with n_reads = add_words acc.n_reads da.Hw.da_array words }
-            | `Cached ->
-                let fp = Float.min (cached_footprint m sizes da) words in
-                { acc with
-                  n_dram = acc.n_dram -. cyc +. (fp /. m.Machine.stream_words_per_cycle);
-                  n_reads = add_words acc.n_reads da.Hw.da_array fp }
-            | `Write ->
-                { acc with n_writes = add_words acc.n_writes da.Hw.da_array words })
-          zero dram
-      in
-      { n_cycles = Float.max compute dram_res.n_dram;
-        n_dram = dram_res.n_dram;
-        n_reads = dram_res.n_reads;
-        n_writes = dram_res.n_writes }
-  | Hw.Tile_load { words; reuse; array; _ } ->
-      let w = Hw.trip_eval sizes words /. float_of_int (Int.max 1 reuse) in
-      let cyc = m.Machine.tile_latency +. (w /. m.Machine.stream_words_per_cycle) in
-      { n_cycles = cyc;
-        n_dram = cyc;
-        n_reads = Smap.singleton array w;
-        n_writes = Smap.empty }
-  | Hw.Tile_store { words; array; _ } ->
-      let w = Hw.trip_eval sizes words in
-      let cyc = m.Machine.tile_latency +. (w /. m.Machine.stream_words_per_cycle) in
-      { n_cycles = cyc;
-        n_dram = cyc;
-        n_reads = Smap.empty;
-        n_writes = Smap.singleton array w }
-
-let scratch_or machine sizes = function
-  | Some c ->
-      prepare c machine sizes;
-      c
-  | None -> cache ()
-
-let run ?(machine = Machine.default) ?cache:c (d : Hw.design) ~sizes =
-  let cc = scratch_or machine sizes c in
-  let r = sim cc machine sizes d.Hw.top in
-  { cycles = r.n_cycles;
-    dram_cycles = r.n_dram;
-    reads = Smap.bindings r.n_reads;
-    writes = Smap.bindings r.n_writes }
-
-(* ------------------------- per-node measurement -------------------- *)
-
-type node_report = {
-  nr_cycles : float;
-  nr_dram : float;
-  nr_reads : traffic;
-  nr_writes : traffic;
-}
-
-let measure ?(machine = Machine.default) ?cache:c (d : Hw.design) ~sizes =
-  let cc = scratch_or machine sizes c in
-  (* fill the memo table once from the root so per-node queries are O(1) *)
-  ignore (sim cc machine sizes d.Hw.top);
-  fun ctrl ->
-    let r = sim cc machine sizes ctrl in
-    { nr_cycles = r.n_cycles;
-      nr_dram = r.n_dram;
-      nr_reads = Smap.bindings r.n_reads;
-      nr_writes = Smap.bindings r.n_writes }
+let run ?machine ?cache d ~sizes =
+  let t = tree ?machine ?cache d ~sizes in
+  { cycles = t.n_cycles;
+    dram_cycles = t.n_dram;
+    reads = Smap.bindings t.n_reads;
+    writes = Smap.bindings t.n_writes }
 
 (* ------------------------- breakdown ------------------------------- *)
 
@@ -297,35 +260,20 @@ let kind_of = function
   | Hw.Tile_load _ -> "tile-load"
   | Hw.Tile_store _ -> "tile-store"
 
-let breakdown ?(machine = Machine.default) ?cache:c (d : Hw.design) ~sizes =
-  (* one memo table serves every node: the root's sim fills it, so the
-     per-node lookups below are O(1) instead of re-simulating each
-     subtree once per ancestor (O(n * depth)) *)
-  let cc = scratch_or machine sizes c in
-  let rows = ref [] in
-  let rec go depth invocations c =
-    let r = sim cc machine sizes c in
-    rows :=
-      { br_name = Hw.ctrl_name c;
+let breakdown ?machine ?cache d ~sizes =
+  let rec go depth invocations rows n =
+    let row =
+      { br_name = Hw.ctrl_name n.n_ctrl;
         br_depth = depth;
-        br_kind = kind_of c;
-        br_cycles = r.n_cycles;
+        br_kind = kind_of n.n_ctrl;
+        br_cycles = n.n_cycles;
         br_invocations = invocations }
-      :: !rows;
-    let child_invocations =
-      match c with
-      | Hw.Loop { trips; _ } ->
-          invocations
-          *. Float.max 1.0
-               (List.fold_left
-                  (fun acc t -> acc *. Hw.trip_eval sizes t)
-                  1.0 trips)
-      | _ -> invocations
     in
-    List.iter (go (depth + 1) child_invocations) (Hw.children c)
+    List.fold_left
+      (go (depth + 1) (invocations *. n.n_trips))
+      (row :: rows) n.n_children
   in
-  go 0 1.0 d.Hw.top;
-  List.rev !rows
+  List.rev (go 0 1.0 [] (tree ?machine ?cache d ~sizes))
 
 let pp_breakdown fmt rows =
   Format.fprintf fmt "%-34s %-14s %14s %12s@." "controller" "kind"
@@ -350,46 +298,25 @@ type bottleneck_row = {
   bn_frac : float;
 }
 
-let bottlenecks ?(machine = Machine.default) ?cache:c (d : Hw.design) ~sizes =
-  let cc = scratch_or machine sizes c in
-  let rows = ref [] in
-  Hw.iter_ctrls
-    (fun c ->
-      match c with
-      | Hw.Loop { name; trips; meta = true; stages; _ } when List.length stages > 1
-        ->
-          let rs =
-            List.map (fun s -> (Hw.ctrl_name s, sim cc machine sizes s)) stages
-          in
-          let iters =
-            Float.max 1.0
-              (List.fold_left
-                 (fun acc t -> acc *. Hw.trip_eval sizes t)
-                 1.0 trips)
-          in
-          let slow_name, slow =
-            List.fold_left
-              (fun ((_, sc) as best) ((_, r) as cand) ->
-                if r.n_cycles > sc.n_cycles then cand else best)
-              (List.hd rs) (List.tl rs)
-          in
-          let dram_sum =
-            List.fold_left (fun acc (_, r) -> acc +. r.n_dram) 0.0 rs
-          in
-          let steady = Float.max slow.n_cycles dram_sum in
-          rows :=
-            { bn_loop = name;
-              bn_iters = iters;
-              bn_stage = slow_name;
-              bn_stage_cycles = slow.n_cycles;
-              bn_dram_sum = dram_sum;
-              bn_bound = (if slow.n_cycles >= dram_sum then `Stage else `Dram);
-              bn_frac = (if steady > 0.0 then slow.n_cycles /. steady else 1.0)
-            }
-            :: !rows
-      | _ -> ())
-    d.Hw.top;
-  List.rev !rows
+let bottlenecks ?machine ?cache d ~sizes =
+  let rec go rows n =
+    let rows =
+      match n.n_terms with
+      | Meta { slowest; dram_sum; steady; _ } ->
+          let s = List.nth n.n_children slowest in
+          { bn_loop = Hw.ctrl_name n.n_ctrl;
+            bn_iters = n.n_trips;
+            bn_stage = Hw.ctrl_name s.n_ctrl;
+            bn_stage_cycles = s.n_cycles;
+            bn_dram_sum = dram_sum;
+            bn_bound = (if s.n_cycles >= dram_sum then `Stage else `Dram);
+            bn_frac = (if steady > 0.0 then s.n_cycles /. steady else 1.0) }
+          :: rows
+      | Plain | Transfer | Pipe_terms _ -> rows
+    in
+    List.fold_left go rows n.n_children
+  in
+  List.rev (go [] (tree ?machine ?cache d ~sizes))
 
 let pp_bottlenecks fmt rows =
   Format.fprintf fmt "%-22s %10s  %-28s %12s %12s  %s@." "metapipeline" "iters"

@@ -20,6 +20,12 @@
     exceeds the stream cache.  Non-contiguous accesses amortize each burst
     over only [par] useful words; contiguous ones over a full burst.
 
+    One recursive pass builds an annotated {!node} tree per (design,
+    machine, sizes); every view is a projection of it: {!run} reads the
+    root, {!breakdown} flattens it pre-order, {!bottlenecks} filters its
+    metapipelines, and the attribution profiler walks it reading the
+    composition terms each node records.  No view re-derives a rule.
+
     Fig. 5c's "minimum words read from main memory" is the [reads] side of
     the traffic report; Fig. 7's speedups are ratios of [cycles]. *)
 
@@ -32,27 +38,63 @@ type report = {
   writes : traffic;  (** words written per DRAM array *)
 }
 
+(** {1 The annotated tree} *)
+
+module Smap : Map.S with type key = string
+
+(** The terms a node's composition used, beyond its totals. *)
+type terms =
+  | Plain  (** [Seq], [Par], a sequential [Loop] *)
+  | Transfer  (** tile load/store: every cycle is DRAM-busy *)
+  | Pipe_terms of {
+      compute : float;  (** [depth + ceil(iterations / par) * ii] *)
+      depth : float;  (** the fill, paid once per invocation *)
+    }
+  | Meta of {
+      per_iter : float;  (** sum of the stages' cycles: the one fill *)
+      slowest : int;  (** index of the first slowest stage *)
+      dram_sum : float;  (** sum of the stages' DRAM-busy cycles *)
+      steady : float;
+          (** per-iteration steady state: the slowest stage, but no
+              less than [dram_sum] *)
+    }  (** a metapipelined [Loop] with more than one stage *)
+
+type node = {
+  n_ctrl : Hw.ctrl;
+  n_cycles : float;  (** per-invocation cycles of the subtree *)
+  n_dram : float;  (** per-invocation DRAM-busy cycles *)
+  n_reads : float Smap.t;  (** per-invocation words read, per DRAM array *)
+  n_writes : float Smap.t;
+  n_trips : float;
+      (** child invocations per invocation: a [Loop]'s trip count (at
+          least 1), else 1 *)
+  n_terms : terms;
+  n_children : node list;  (** in [Hw.children] order *)
+}
+
 type cache
-(** Identity-keyed memo over controller subtrees.  One [sim] pass fills
-    it; {!run}, {!breakdown} and {!bottlenecks} sharing a cache then
-    reuse each node's result instead of re-simulating every subtree once
-    per ancestor.  A cache is valid for one (machine, sizes) pair and
-    resets itself transparently when either changes.  Memoized calls
-    return exactly what the unmemoized ones return. *)
+(** A single slot holding the last tree built through it, keyed by the
+    design's top controller (physical identity), the machine and the
+    sizes.  Views sharing a cache build the tree once; a cache reused
+    with another design, machine or sizes builds a fresh tree, so it
+    can never return a stale result.  Cached views return exactly what
+    uncached ones return. *)
 
 val cache : unit -> cache
 
 type cache_stats = { hits : int; misses : int }
-(** Lifetime lookup totals for a cache: [hits] counts memo-table hits,
-    [misses] counts distinct subtrees actually simulated.  The counters
-    survive the transparent reset on a (machine, sizes) change, so a
-    second report sharing the cache at the same sizes is all hits. *)
+(** Lifetime totals for a cache: [misses] counts trees built, [hits]
+    counts views served from the held tree. *)
 
 val cache_stats : cache -> cache_stats
 
-val cache_nodes : cache -> int
-(** Memoized controller subtrees currently held (resets with the table
-    on a (machine, sizes) change). *)
+val tree :
+  ?machine:Machine.t ->
+  ?cache:cache ->
+  Hw.design ->
+  sizes:(Sym.t * int) list ->
+  node
+(** The design's annotated tree (default machine: {!Machine.default}). *)
 
 val run :
   ?machine:Machine.t ->
@@ -78,28 +120,6 @@ val direct_cycles :
 val cached_footprint :
   Machine.t -> (Sym.t * int) list -> Hw.dram_access -> float
 (** Compulsory words for a cache-served access (dependent extents only). *)
-
-(** {1 Per-node measurement} *)
-
-type node_report = {
-  nr_cycles : float;  (** per-invocation cycles of the subtree *)
-  nr_dram : float;  (** per-invocation DRAM-busy cycles *)
-  nr_reads : traffic;  (** per-invocation words read, per DRAM array *)
-  nr_writes : traffic;
-}
-
-val measure :
-  ?machine:Machine.t ->
-  ?cache:cache ->
-  Hw.design ->
-  sizes:(Sym.t * int) list ->
-  Hw.ctrl ->
-  node_report
-(** [measure d ~sizes] simulates the design once (filling the memo
-    table) and returns an O(1) query for any controller subtree of [d]:
-    exactly the (cycles, DRAM-busy, traffic) the composing simulator
-    assigned that node per invocation.  Querying the root reproduces
-    {!run}.  The attribution profiler is the main client. *)
 
 (** {1 Breakdown} *)
 

@@ -355,26 +355,65 @@ let test_memo_cache_consistency () =
     [ "kmeans"; "gda"; "sumrows" ]
 
 let test_cache_stats () =
-  (* two reports sharing one cache: the second is answered entirely from
-     the memo table — no new misses, only hits *)
+  (* repeated views of one design share one tree: the first view builds
+     it (one miss), every later view is served from the slot (hits only) *)
   let bench = Suite.find (Suite.all ()) "gemm" in
   let d = Experiments.design_of Experiments.Tiled_meta bench in
   let sizes = bench.Suite.sim_sizes in
   let cache = Simulate.cache () in
   let r1 = Simulate.run ~cache d ~sizes in
   let s1 = Simulate.cache_stats cache in
-  Alcotest.(check bool) "first run misses" true (s1.Simulate.misses > 0);
+  Alcotest.(check int) "first run builds one tree" 1 s1.Simulate.misses;
+  Alcotest.(check int) "first run has no hits" 0 s1.Simulate.hits;
   let r2 = Simulate.run ~cache d ~sizes in
   let s2 = Simulate.cache_stats cache in
   Alcotest.(check int) "second run adds no misses" s1.Simulate.misses
     s2.Simulate.misses;
-  Alcotest.(check bool) "second run is all hits" true
-    (s2.Simulate.hits > s1.Simulate.hits);
+  Alcotest.(check int) "second run is a hit" (s1.Simulate.hits + 1)
+    s2.Simulate.hits;
   Alcotest.(check bool) "reports identical" true (r1 = r2);
-  (* memoized distinct subtrees are exactly the lifetime misses while the
-     key stays fixed *)
-  Alcotest.(check int) "nodes = misses" s2.Simulate.misses
-    (Simulate.cache_nodes cache)
+  ignore (Simulate.breakdown ~cache d ~sizes);
+  ignore (Simulate.bottlenecks ~cache d ~sizes);
+  ignore (Profile.of_design ~cache d ~sizes);
+  let s3 = Simulate.cache_stats cache in
+  Alcotest.(check int) "later views add no misses" 1 s3.Simulate.misses;
+  Alcotest.(check int) "later views are all hits" (s2.Simulate.hits + 3)
+    s3.Simulate.hits
+
+let test_cache_key () =
+  (* one cache reused across two designs at the same sizes, views
+     interleaved: each design gets its own results, equal to uncached *)
+  let bench = Suite.find (Suite.all ()) "kmeans" in
+  let sizes = bench.Suite.sim_sizes in
+  let a = Experiments.design_of Experiments.Tiled bench in
+  let b = Experiments.design_of Experiments.Tiled_meta bench in
+  let cache = Simulate.cache () in
+  List.iter
+    (fun (name, d) ->
+      Alcotest.(check bool) (name ^ ": run") true
+        (Simulate.run ~cache d ~sizes = Simulate.run d ~sizes))
+    [ ("tiled", a); ("meta", b) ];
+  List.iter
+    (fun (name, d) ->
+      Alcotest.(check bool) (name ^ ": breakdown") true
+        (Simulate.breakdown ~cache d ~sizes = Simulate.breakdown d ~sizes))
+    [ ("tiled", a); ("meta", b); ("tiled again", a) ];
+  List.iter
+    (fun (name, d) ->
+      Alcotest.(check bool) (name ^ ": profile") true
+        (Profile.of_design ~cache d ~sizes = Profile.of_design d ~sizes))
+    [ ("meta", b); ("tiled", a) ];
+  Alcotest.(check bool) "the two designs differ" true
+    (Simulate.run a ~sizes <> Simulate.run b ~sizes);
+  (* the machine is part of the key too *)
+  let slow =
+    { Machine.default with
+      Machine.stream_words_per_cycle =
+        Machine.default.Machine.stream_words_per_cycle /. 2.0 }
+  in
+  Alcotest.(check bool) "another machine" true
+    (Simulate.run ~machine:slow ~cache a ~sizes
+    = Simulate.run ~machine:slow a ~sizes)
 
 (* ---------------- rebalancing ---------------- *)
 
@@ -452,7 +491,8 @@ let () =
       ( "memoization",
         [ Alcotest.test_case "cached reports match uncached" `Quick
             test_memo_cache_consistency;
-          Alcotest.test_case "cache stats" `Quick test_cache_stats ] );
+          Alcotest.test_case "cache stats" `Quick test_cache_stats;
+          Alcotest.test_case "cache keyed by design" `Quick test_cache_key ] );
       ( "rebalance",
         [ Alcotest.test_case "gda stage parallelization" `Quick test_rebalance ] );
       ( "area",

@@ -131,34 +131,29 @@ let observe_cache cache =
   Metrics.incr ~by:st.Simulate.misses "sim.cache.misses"
 
 (* Machine-readable simulation report, shared by `simulate --json` and
-   `timeline --json`.  Numbers use Profile.json_float, so totals compare
+   `timeline --json`.  Json's one number format makes the totals compare
    byte-for-byte with `profile --json`. *)
 let report_json ~bench ~config ~engine (rep : Simulate.report) area =
-  let f = Profile.json_float in
-  let traffic t =
-    String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (f v)) t)
-  in
-  Printf.sprintf
-    "{\"bench\": \"%s\", \"config\": \"%s\", \"engine\": \"%s\", \"cycles\": \
-     %s, \"dram_cycles\": %s, \"reads\": {%s}, \"writes\": {%s}, \"area\": \
-     {\"logic\": %s, \"ff\": %s, \"bram\": %s, \"dsp\": %s}, \"time_ms\": \
-     %.6f}\n"
-    bench config engine
-    (f rep.Simulate.cycles)
-    (f rep.Simulate.dram_cycles)
-    (traffic rep.Simulate.reads)
-    (traffic rep.Simulate.writes)
-    (f area.Area_model.logic) (f area.Area_model.ff) (f area.Area_model.bram)
-    (f area.Area_model.dsp)
-    (1e3 *. Machine.seconds Machine.default rep.Simulate.cycles)
+  let traffic t = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) t) in
+  Json.Obj
+    [ ("bench", String bench); ("config", String config);
+      ("engine", String engine); ("cycles", Float rep.Simulate.cycles);
+      ("dram_cycles", Float rep.Simulate.dram_cycles);
+      ("reads", traffic rep.Simulate.reads);
+      ("writes", traffic rep.Simulate.writes);
+      ("area", Area_model.to_json area);
+      ( "time_ms",
+        Float (1e3 *. Machine.seconds Machine.default rep.Simulate.cycles) ) ]
+
+let print_json v = print_endline (Json.to_string v)
 
 let tiling_of bench = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog
 
 (* Resolve --tiles/--sizes NAME=N bindings against size parameters by
-   base name.  An unknown name or a value <= 0 is a usage error: the
-   message names the binding and the command exits 2. *)
-let resolve_bindings ~cmd ~flag params spec =
+   base name.  An unknown name, a value <= 0 or a value above the
+   parameter's [bound] (its declared maxsize, for --sizes) is a usage
+   error: the message names the binding and the command exits 2. *)
+let resolve_bindings ~cmd ~flag ?(bound = Fun.const None) params spec =
   List.map
     (fun (name, v) ->
       let fail why =
@@ -171,16 +166,24 @@ let resolve_bindings ~cmd ~flag params spec =
             (Printf.sprintf "no size parameter %s (have: %s)" name
                (String.concat ", " (List.map Sym.base params)))
       | Some _ when v <= 0 -> fail "values must be positive"
-      | Some s -> (s, v))
+      | Some s -> (
+          match bound s with
+          | Some m when v > m ->
+              fail (Printf.sprintf "above the declared maxsize %s %d" name m)
+          | _ -> (s, v)))
     spec
 
+(* Read, parse and type-check a .ppl file; an unreadable file or a
+   malformed program is a usage error (exit 2) reported as FILE: message. *)
 let load_program file =
-  let ic = open_in file in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let prog = Parser.program_of_string text in
-  ignore (Validate.check_program prog);
-  prog
+  try
+    let text = In_channel.with_open_bin file In_channel.input_all in
+    let prog = Parser.program_of_string text in
+    ignore (Validate.check_program prog);
+    prog
+  with Sys_error msg | Parser.Parse_error msg | Validate.Type_error msg ->
+    Printf.eprintf "%s: %s\n" file msg;
+    exit 2
 
 let stage_prog bench = function
   | `Fused -> (tiling_of bench).Tiling.fused
@@ -307,7 +310,7 @@ let simulate_cmd =
     in
     let a = Area_model.of_design d in
     if json then
-      print_string
+      print_json
         (report_json ~bench:bench.Suite.name
            ~config:(Experiments.config_name config)
            ~engine:(match engine with `Analytic -> "analytic" | `Event -> "event")
@@ -488,11 +491,13 @@ let compile_cmd =
   let run file tiles_spec sizes_spec engine trace metrics =
     obs_wrap trace metrics @@ fun () ->
     let prog = load_program file in
-    let resolve flag =
-      resolve_bindings ~cmd:"compile" ~flag prog.Ir.size_params
+    let resolve ?bound flag =
+      resolve_bindings ~cmd:"compile" ~flag ?bound prog.Ir.size_params
     in
     let tiles = resolve "--tiles" tiles_spec in
-    let sizes = resolve "--sizes" sizes_spec in
+    let sizes =
+      resolve ~bound:(Ir.max_sizes_bound prog) "--sizes" sizes_spec
+    in
     Printf.printf "parsed %s: %d IR nodes, result type ok\n" prog.Ir.pname
       (Rewrite.node_count prog.Ir.body);
     let r = Tiling.run ~tiles prog in
@@ -818,17 +823,15 @@ let lint_cmd =
         targets
     in
     if json then
-      Printf.printf "[%s]\n"
-        (String.concat ", "
+      print_json
+        (List
            (List.map
               (fun (bench, design, ds) ->
-                Printf.sprintf
-                  "{\"bench\": \"%s\", \"design\": \"%s\", \"config\": \
-                   \"%s\", \"summary\": \"%s\", \"diagnostics\": %s}"
-                  bench design
-                  (Experiments.config_name config)
-                  (Diagnostic.summary ds)
-                  (Diagnostic.list_to_json ds))
+                Json.Obj
+                  [ ("bench", String bench); ("design", String design);
+                    ("config", String (Experiments.config_name config));
+                    ("summary", String (Diagnostic.summary ds));
+                    ("diagnostics", Diagnostic.list_to_json ds) ])
               results))
     else
       List.iter
@@ -878,11 +881,7 @@ let lint_ir_cmd =
             (fun (b : Suite.bench) -> (b.Suite.name, b.Suite.prog))
             (benches ())
       | Some t when Sys.file_exists t ->
-          let ic = open_in t in
-          let len = in_channel_length ic in
-          let text = really_input_string ic len in
-          close_in ic;
-          [ (Filename.basename t, Parser.program_of_string text) ]
+          [ (Filename.basename t, load_program t) ]
       | Some t -> (
           match Suite.find (benches ()) t with
           | b -> [ (b.Suite.name, b.Suite.prog) ]
@@ -894,16 +893,14 @@ let lint_ir_cmd =
       List.map (fun (name, prog) -> (name, Ppl_lint.check_all prog)) progs
     in
     if json then
-      Printf.printf "[%s]\n"
-        (String.concat ", "
+      print_json
+        (List
            (List.map
               (fun (name, ds) ->
-                Printf.sprintf
-                  "{\"program\": \"%s\", \"summary\": \"%s\", \
-                   \"diagnostics\": %s}"
-                  name
-                  (Diagnostic.summary ds)
-                  (Diagnostic.list_to_json ds))
+                Json.Obj
+                  [ ("program", String name);
+                    ("summary", String (Diagnostic.summary ds));
+                    ("diagnostics", Diagnostic.list_to_json ds) ])
               results))
     else
       List.iter
@@ -969,7 +966,7 @@ let timeline_cmd =
     if json then
       (* --json parity with `simulate`: the same report object on stdout
          (write the trace itself with -o FILE) *)
-      print_string
+      print_json
         (report_json ~bench:bench.Suite.name
            ~config:(Experiments.config_name config)
            ~engine:"event" r.Event_sim.report
@@ -1039,7 +1036,10 @@ let profile_cmd =
     let design, sizes =
       if Sys.file_exists target then begin
         let prog = load_program target in
-        let sizes = resolve ~flag:"--sizes" prog.Ir.size_params sizes_spec in
+        let sizes =
+          resolve ~flag:"--sizes" ~bound:(Ir.max_sizes_bound prog)
+            prog.Ir.size_params sizes_spec
+        in
         if sizes = [] then begin
           Printf.eprintf
             "profile: %s: --sizes NAME=N,... is required for .ppl targets\n"
@@ -1062,8 +1062,9 @@ let profile_cmd =
             end;
             (* --sizes overrides the benchmark's simulation sizes *)
             let over =
-              resolve ~flag:"--sizes" (List.map fst b.Suite.sim_sizes)
-                sizes_spec
+              resolve ~flag:"--sizes"
+                ~bound:(Ir.max_sizes_bound b.Suite.prog)
+                (List.map fst b.Suite.sim_sizes) sizes_spec
             in
             let sizes =
               List.map

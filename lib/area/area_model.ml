@@ -128,6 +128,11 @@ let pp fmt t =
   Format.fprintf fmt "logic=%.0f ff=%.0f bram=%.0f dsp=%.0f" t.logic t.ff
     t.bram t.dsp
 
+let to_json t =
+  Json.Obj
+    [ ("logic", Float t.logic); ("ff", Float t.ff); ("bram", Float t.bram);
+      ("dsp", Float t.dsp) ]
+
 let pp_utilization fmt t =
   let u = utilization t in
   Format.fprintf fmt "logic %.1f%%, FF %.1f%%, mem %.1f%%, DSP %.1f%%"

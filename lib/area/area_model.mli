@@ -56,4 +56,9 @@ val fits : t -> bool
 (** Every component within the chip. *)
 
 val pp : Format.formatter -> t -> unit
+
+val to_json : t -> Json.t
+(** [{"logic": ..., "ff": ..., "bram": ..., "dsp": ...}], the area
+    object of every JSON report. *)
+
 val pp_utilization : Format.formatter -> t -> unit

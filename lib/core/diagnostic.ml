@@ -83,35 +83,10 @@ let pp fmt d =
 let pp_list fmt ds =
   List.iter (fun d -> Format.fprintf fmt "%a@." pp d) (List.sort compare ds)
 
-(* hand-rolled JSON: the repo carries no JSON library and the shape is
-   flat, so escaping strings is the only subtlety *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let to_json d =
-  Printf.sprintf
-    "{\"code\": %s, \"severity\": %s, \"path\": [%s], \"where\": %s, \
-     \"message\": %s}"
-    (json_string d.code)
-    (json_string (severity_name d.severity))
-    (String.concat ", " (List.map json_string d.path))
-    (json_string d.where)
-    (json_string d.message)
+  Json.Obj
+    [ ("code", String d.code); ("severity", String (severity_name d.severity));
+      ("path", List (List.map (fun p -> Json.String p) d.path));
+      ("where", String d.where); ("message", String d.message) ]
 
-let list_to_json ds =
-  "[" ^ String.concat ", " (List.map to_json (List.sort compare ds)) ^ "]"
+let list_to_json ds = Json.List (List.map to_json (List.sort compare ds))

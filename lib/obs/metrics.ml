@@ -83,44 +83,23 @@ let diff ~base cur =
       | _, _ -> Some (k, v))
     cur
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let values_to_json snap =
-  let section f =
-    String.concat ", " (List.filter_map f snap)
-  in
-  let counters =
-    section (function
-      | k, Counter n -> Some (Printf.sprintf "\"%s\": %d" (escape k) n)
-      | _ -> None)
-  in
-  let gauges =
-    section (function
-      | k, Gauge v -> Some (Printf.sprintf "\"%s\": %.6g" (escape k) v)
-      | _ -> None)
-  in
-  let timers =
-    section (function
-      | k, Timer { seconds; count } ->
-          Some
-            (Printf.sprintf "\"%s\": {\"seconds\": %.6f, \"count\": %d}"
-               (escape k) seconds count)
-      | _ -> None)
-  in
-  Printf.sprintf
-    "{\"counters\": {%s}, \"gauges\": {%s}, \"timers\": {%s}}\n" counters
-    gauges timers
+  let section f = Json.Obj (List.filter_map f snap) in
+  Json.to_string
+    (Obj
+       [ ( "counters",
+           section (function k, Counter n -> Some (k, Json.Int n) | _ -> None)
+         );
+         ( "gauges",
+           section (function k, Gauge v -> Some (k, Json.Float v) | _ -> None)
+         );
+         ( "timers",
+           section (function
+             | k, Timer { seconds; count } ->
+                 Some
+                   (k, Obj [ ("seconds", Float seconds); ("count", Int count) ])
+             | _ -> None) ) ])
+  ^ "\n"
 
 let to_json () = values_to_json (snapshot ())
 

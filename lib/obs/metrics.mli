@@ -39,7 +39,7 @@ val diff :
 
 val to_json : unit -> string
 (** [{"counters": {...}, "gauges": {...}, "timers": {name: {"seconds":
-    s, "count": n}}}], keys sorted. *)
+    s, "count": n}}}], keys sorted, written through {!Json}. *)
 
 val values_to_json : (string * value) list -> string
 (** Same JSON shape over an explicit snapshot (or {!diff} result). *)

@@ -255,71 +255,35 @@ let pp_text fmt t =
 
 (* ------------------------- json backend ---------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6f" v
-
-let json_area (a : Area_model.t) =
-  Printf.sprintf
-    "{\"logic\": %s, \"ff\": %s, \"bram\": %s, \"dsp\": %s}"
-    (json_float a.Area_model.logic) (json_float a.Area_model.ff)
-    (json_float a.Area_model.bram) (json_float a.Area_model.dsp)
-
-let json_traffic tr =
-  "{"
-  ^ String.concat ", "
-      (List.map
-         (fun (a, w) ->
-           Printf.sprintf "\"%s\": %s" (json_escape a) (json_float w))
-         tr)
-  ^ "}"
+let json_traffic tr = Json.Obj (List.map (fun (a, w) -> (a, Json.Float w)) tr)
 
 let rec json_node n =
-  Printf.sprintf
-    "{\"name\": \"%s\", \"kind\": \"%s\", \"prov\": \"%s\", \"total\": %s, \
-     \"self\": %s, \"invocations\": %s, \"fill\": %s, \"steady\": %s, \
-     \"dram\": %s, \"reads\": %s, \"writes\": %s, \"area\": %s, \
-     \"children\": [%s]}"
-    (json_escape n.name) (json_escape n.kind)
-    (json_escape (Prov.to_string n.prov))
-    (json_float n.total) (json_float n.self) (json_float n.invocations)
-    (json_float n.fill) (json_float n.steady) (json_float n.dram)
-    (json_traffic n.reads) (json_traffic n.writes) (json_area n.area)
-    (String.concat ", " (List.map json_node n.children))
+  Json.Obj
+    [ ("name", String n.name); ("kind", String n.kind);
+      ("prov", String (Prov.to_string n.prov)); ("total", Float n.total);
+      ("self", Float n.self); ("invocations", Float n.invocations);
+      ("fill", Float n.fill); ("steady", Float n.steady);
+      ("dram", Float n.dram); ("reads", json_traffic n.reads);
+      ("writes", json_traffic n.writes); ("area", Area_model.to_json n.area);
+      ("children", List (List.map json_node n.children)) ]
+
+let json_origin r =
+  Json.Obj
+    [ ("origin", String r.origin); ("cycles", Float r.o_cycles);
+      ("share", Float r.o_share); ("traffic_words", Float r.o_traffic);
+      ("area", Area_model.to_json r.o_area); ("controllers", Int r.o_ctrls) ]
 
 let to_json t =
-  Printf.sprintf
-    "{\"design\": \"%s\", \"total_cycles\": %s, \"dram_cycles\": %s, \
-     \"fill_cycles\": %s, \"steady_cycles\": %s, \"dram_serial_cycles\": %s, \
-     \"origins\": [%s], \"tree\": %s}"
-    (json_escape t.design_name)
-    (json_float t.total_cycles) (json_float t.dram_cycles)
-    (json_float t.fill_cycles) (json_float t.steady_cycles)
-    (json_float t.dram_serial_cycles)
-    (String.concat ", "
-       (List.map
-          (fun r ->
-            Printf.sprintf
-              "{\"origin\": \"%s\", \"cycles\": %s, \"share\": %s, \
-               \"traffic_words\": %s, \"area\": %s, \"controllers\": %d}"
-              (json_escape r.origin) (json_float r.o_cycles)
-              (json_float r.o_share) (json_float r.o_traffic)
-              (json_area r.o_area) r.o_ctrls)
-          t.origins))
-    (json_node t.root)
+  Json.to_string
+    (Obj
+       [ ("design", String t.design_name);
+         ("total_cycles", Float t.total_cycles);
+         ("dram_cycles", Float t.dram_cycles);
+         ("fill_cycles", Float t.fill_cycles);
+         ("steady_cycles", Float t.steady_cycles);
+         ("dram_serial_cycles", Float t.dram_serial_cycles);
+         ("origins", List (List.map json_origin t.origins));
+         ("tree", json_node t.root) ])
 
 (* ---------------------- folded-stack backend ------------------------ *)
 

@@ -73,11 +73,10 @@ val fold_nodes : ('a -> node -> 'a) -> 'a -> t -> 'a
 (** Pre-order fold over the attribution tree. *)
 
 val pp_text : Format.formatter -> t -> unit
+
 val to_json : t -> string
+(** One JSON object through {!Json}: totals, the origin table and the
+    attribution tree. *)
 
 val to_folded : t -> string
 (** Folded flamegraph stacks, one line per provenance trail. *)
-
-val json_float : float -> string
-(** The number formatting [to_json] uses (integral floats print without
-    a decimal point), shared so other emitters can match it exactly. *)

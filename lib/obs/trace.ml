@@ -74,51 +74,27 @@ let virtual_span ?(cat = "sim") ~track ~name ~start ~finish ?(args = []) () =
 
 (* --------------------------- serialization ------------------------- *)
 
-(* canonical float text: integers print without a fraction, everything
-   else with a fixed number of digits — deterministic across runs *)
+(* summary text: integers print without a fraction, everything else
+   with four digits *)
 let float_str f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.4f" f
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let arg_str = function
-  | Int i -> string_of_int i
-  | Float f -> float_str f
-  | Str s -> "\"" ^ escape s ^ "\""
-
-let args_str = function
-  | [] -> "{}"
-  | args ->
-      "{"
-      ^ String.concat ", "
-          (List.map (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ arg_str v) args)
-      ^ "}"
+let arg_json = function
+  | Int i -> Json.Int i
+  | Float f -> Json.Float f
+  | Str s -> Json.String s
 
 let ph_str = function B -> "B" | E -> "E" | X -> "X" | M -> "M"
 
-let event_line tid ev =
-  let dur =
-    match ev.ph with X -> Printf.sprintf ", \"dur\": %s" (float_str ev.dur) | _ -> ""
-  in
-  Printf.sprintf
-    "{\"ph\": \"%s\", \"name\": \"%s\", \"cat\": \"%s\", \"pid\": %d, \
-     \"tid\": %d, \"ts\": %s%s, \"args\": %s}"
-    (ph_str ev.ph) (escape ev.name) (escape ev.cat) ev.pid tid
-    (float_str ev.ts) dur (args_str ev.args)
+let event_json tid ev =
+  let dur = match ev.ph with X -> [ ("dur", Json.Float ev.dur) ] | _ -> [] in
+  Json.Obj
+    ([ ("ph", Json.String (ph_str ev.ph)); ("name", String ev.name);
+       ("cat", String ev.cat); ("pid", Int ev.pid); ("tid", Int tid);
+       ("ts", Float ev.ts) ]
+    @ dur
+    @ [ ("args", Obj (List.map (fun (k, v) -> (k, arg_json v)) ev.args)) ])
 
 let snapshot () = with_lock (fun () -> List.rev !events)
 
@@ -171,12 +147,17 @@ let to_json () =
         | c -> c)
       evs
   in
-  let lines =
-    List.map (fun ev -> event_line (tid_of ev.pid ev.track) ev) (meta @ body)
-  in
-  "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n"
-  ^ String.concat ",\n" lines
-  ^ "\n]}\n"
+  (* one event per line, so the wall-clock (pid 0) lines can be dropped
+     to get the deterministic golden form *)
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
+  List.iteri
+    (fun i ev ->
+      if i > 0 then Buffer.add_string b ",\n";
+      Json.to_buffer b (event_json (tid_of ev.pid ev.track) ev))
+    (meta @ body);
+  Buffer.add_string b "\n]}\n";
+  Buffer.contents b
 
 let write file =
   let oc = open_out file in

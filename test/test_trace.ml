@@ -4,7 +4,10 @@
    (wall-clock-free) form must be byte-stable across runs and domain
    counts.  The acceptance check ties the timeline back to the cycle
    model: gemm's top-level spans summed reproduce the event engine's
-   cycle total, which in turn sits within 2% of the analytic report. *)
+   cycle total, which in turn sits within 2% of the analytic report.
+   The json group also feeds quotes, backslashes and control characters
+   through every producer behind the shared [Json] writer and parses
+   what comes out. *)
 
 (* ------------------- minimal JSON recursive descent ------------------ *)
 
@@ -380,6 +383,141 @@ let test_metrics_json () =
   Alcotest.(check (float 0.0)) "timer count" 1.0
     (num (field "count" (field "t.timer" (field "timers" j))))
 
+(* every byte class the shared escaper names or hex-escapes *)
+let adversarial =
+  [ "quo\"te"; "back\\slash"; "new\nline"; "tab\tbed"; "cr\rret";
+    "ctl\x01char"; "all: \" \\ \n \t \r \x01" ]
+
+let members = function
+  | JObj kvs -> kvs
+  | _ -> Alcotest.fail "expected an object"
+
+let elems = function JArr vs -> vs | _ -> Alcotest.fail "expected an array"
+
+let test_diagnostics_adversarial () =
+  let ds =
+    List.map
+      (fun s ->
+        Diagnostic.make ~path:[ s; "ctrl" ] ~code:"T1"
+          ~severity:Diagnostic.Warning ~where:s "%s" s)
+      adversarial
+  in
+  let objs = elems (parse (Json.to_string (Diagnostic.list_to_json ds))) in
+  Alcotest.(check int) "one object per diagnostic" (List.length ds)
+    (List.length objs);
+  List.iter
+    (fun o ->
+      let msg = str (field "message" o) in
+      Alcotest.(check bool) "message round-trips" true
+        (List.mem msg adversarial);
+      Alcotest.(check string) "where round-trips" msg (str (field "where" o));
+      Alcotest.(check (list string)) "path round-trips" [ msg; "ctrl" ]
+        (List.map str (elems (field "path" o))))
+    objs
+
+let test_trace_adversarial () =
+  Trace.clear ();
+  Trace.enable ();
+  List.iter
+    (fun s ->
+      Trace.with_span s
+        ~args:(fun () -> [ ("s", Trace.Str s) ])
+        (fun () -> ());
+      Trace.virtual_span ~track:s ~name:s ~start:0.0 ~finish:1.5
+        ~args:[ ("s", Trace.Str s) ] ())
+    adversarial;
+  Trace.disable ();
+  let json = Trace.to_json () in
+  Trace.clear ();
+  let evs = events_of (parse json) in
+  (* escaped newlines keep one event per line: header, events, footer *)
+  Alcotest.(check int) "one event per line" (List.length evs + 4)
+    (List.length (String.split_on_char '\n' json));
+  List.iter
+    (fun s ->
+      let named ph =
+        List.filter
+          (fun e -> str (field "ph" e) = ph && str (field "name" e) = s)
+          evs
+      in
+      Alcotest.(check int) "wall span name round-trips" 1
+        (List.length (named "X"));
+      Alcotest.(check int) "virtual span name round-trips" 1
+        (List.length (named "B"));
+      List.iter
+        (fun e ->
+          Alcotest.(check string) "Str arg round-trips" s
+            (str (field "s" (field "args" e))))
+        (named "X" @ named "B");
+      Alcotest.(check bool) "track name round-trips" true
+        (List.exists
+           (fun e ->
+             str (field "name" e) = "thread_name"
+             && str (field "name" (field "args" e)) = s)
+           evs))
+    adversarial
+
+let test_metrics_adversarial () =
+  Metrics.reset ();
+  List.iter
+    (fun s ->
+      Metrics.incr ("c" ^ s);
+      Metrics.set_gauge ("g" ^ s) 0.5;
+      ignore (Metrics.time ("t" ^ s) (fun () -> ())))
+    adversarial;
+  let j = parse (Metrics.to_json ()) in
+  Metrics.reset ();
+  List.iter
+    (fun (section, prefix) ->
+      Alcotest.(check (list string)) (section ^ " keys round-trip")
+        (List.sort compare (List.map (( ^ ) prefix) adversarial))
+        (List.sort compare (List.map fst (members (field section j)))))
+    [ ("counters", "c"); ("gauges", "g"); ("timers", "t") ]
+
+let test_profile_json_suite () =
+  List.iter
+    (fun (bench : Suite.bench) ->
+      List.iter
+        (fun cfg ->
+          let d = Experiments.design_of cfg bench in
+          let p = Profile.of_design d ~sizes:bench.Suite.sim_sizes in
+          let j = parse (Profile.to_json p) in
+          let total = Profile.total_cycles p in
+          Alcotest.(check bool)
+            (bench.Suite.name ^ " total_cycles parses back")
+            true
+            (Float.abs (num (field "total_cycles" j) -. total)
+            <= 1e-6 *. Float.max 1.0 total))
+        [ Experiments.Baseline; Experiments.Tiled; Experiments.Tiled_meta ])
+    (Suite.extended ())
+
+(* a file name with a quote and a backslash was once printed unescaped
+   into the "program" field of `lint-ir --json`, which then no JSON
+   reader accepted *)
+let test_lint_ir_file_name () =
+  let src =
+    In_channel.with_open_bin "../corpus/saxpy.ppl" In_channel.input_all
+  in
+  let dir = Filename.temp_dir "lint_ir" "" in
+  let name = "sa\"x\\py.ppl" in
+  let file = Filename.concat dir name in
+  let out = Filename.concat dir "out.json" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc src);
+  let rc =
+    Sys.command
+      (Printf.sprintf "../bin/main.exe lint-ir %s --json > %s"
+         (Filename.quote file) (Filename.quote out))
+  in
+  let json = In_channel.with_open_bin out In_channel.input_all in
+  List.iter Sys.remove [ file; out ];
+  Sys.rmdir dir;
+  Alcotest.(check int) "lint-ir exits 0" 0 rc;
+  match parse json with
+  | JArr [ o ] ->
+      Alcotest.(check string) "program name round-trips" name
+        (str (field "program" o))
+  | _ -> Alcotest.fail "expected a one-element array"
+
 let test_metrics_diff () =
   (* the registry is process-global; the CLI reports per-invocation
      deltas against a snapshot taken at command entry *)
@@ -431,7 +569,17 @@ let () =
   Alcotest.run "trace"
     [ ( "json",
         [ Alcotest.test_case "trace parses" `Quick test_json_parses;
-          Alcotest.test_case "metrics parse" `Quick test_metrics_json ] );
+          Alcotest.test_case "metrics parse" `Quick test_metrics_json;
+          Alcotest.test_case "diagnostics escape adversarial strings" `Quick
+            test_diagnostics_adversarial;
+          Alcotest.test_case "trace escapes adversarial strings" `Quick
+            test_trace_adversarial;
+          Alcotest.test_case "metrics escape adversarial keys" `Quick
+            test_metrics_adversarial;
+          Alcotest.test_case "profile parses (suite x configs)" `Quick
+            test_profile_json_suite;
+          Alcotest.test_case "lint-ir escapes file names" `Quick
+            test_lint_ir_file_name ] );
       ( "spans",
         [ Alcotest.test_case "B/E balance per track" `Quick test_be_balance;
           Alcotest.test_case "virtual timestamps" `Quick

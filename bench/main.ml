@@ -2,7 +2,9 @@
    evaluation (printed first, in paper-shaped rows), then times each
    compiler/simulator stage with Bechamel — one Test.make per artifact.
 
-   Run: dune exec bench/main.exe *)
+   Run: dune exec bench/main.exe
+   Time only the cases whose name starts with PREFIX (no tables):
+        dune exec bench/main.exe -- PREFIX *)
 
 open Bechamel
 open Toolkit
@@ -382,15 +384,40 @@ let dse_tests =
       (staged (fun () ->
            ignore (Dse.explore_bench (Suite.find (Suite.all ()) "gemm")))) ]
 
-(* event-engine validation of the Fig. 7 designs *)
+(* event-engine validation of the Fig. 7 designs, plus the scaling line:
+   designs whose DRAM calendar grows long (tiled outerprod coalesces past
+   2048 spans; gemm at small tiles schedules 25k and 99k events), where
+   the time per event should stay flat *)
 let event_tests =
+  let event name d (bench : Suite.bench) =
+    Test.make ~name
+      (staged (fun () -> ignore (Event_sim.run d ~sizes:bench.Suite.sim_sizes)))
+  in
+  let gemm = Suite.find (Suite.all ()) "gemm" in
+  let gemm_at m n p =
+    let tiles =
+      List.map
+        (fun (s, _) -> (s, List.assoc (Sym.base s) [ ("m", m); ("n", n); ("p", p) ]))
+        gemm.Suite.tiles
+    in
+    event
+      (Printf.sprintf "event-scaling/gemm-m%d-n%d-p%d" m n p)
+      (Lower.program Lower.default_opts (Tiling.run ~tiles gemm.Suite.prog).Tiling.tiled)
+      gemm
+  in
+  let outerprod = Suite.find (Suite.all ()) "outerprod" in
   List.map
     (fun (bench : Suite.bench) ->
-      let d = Experiments.design_of Experiments.Tiled_meta bench in
-      Test.make ~name:(Printf.sprintf "fig7/event-%s" bench.Suite.name)
-        (staged (fun () ->
-             ignore (Event_sim.run d ~sizes:bench.Suite.sim_sizes))))
+      event
+        (Printf.sprintf "fig7/event-%s" bench.Suite.name)
+        (Experiments.design_of Experiments.Tiled_meta bench)
+        bench)
     (Suite.all ())
+  @ [ event "event-scaling/outerprod-tiled"
+        (Experiments.design_of Experiments.Tiled outerprod)
+        outerprod;
+      gemm_at 64 32 64;
+      gemm_at 32 32 32 ]
 
 (* Fig. 7 area bars *)
 let area_tests =
@@ -438,7 +465,7 @@ let all_tests =
 (* Bechamel driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_timings () =
+let run_timings tests =
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.2) ~kde:None () in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
@@ -461,12 +488,18 @@ let run_timings () =
               Printf.printf "%-40s %11.2f %s\n" name v unit
           | _ -> Printf.printf "%-40s %14s\n" name "n/a")
         analyzed)
-    all_tests
+    tests
 
 let () =
-  print_artifacts ();
-  print_ablations ();
-  print_parallel_dse ();
-  rule ();
-  print_endline "Timing (Bechamel, monotonic clock, OLS estimate per run)";
-  run_timings ()
+  match Sys.argv with
+  | [| _; prefix |] ->
+      (* only time the cases whose name starts with [prefix] *)
+      run_timings
+        (List.filter (fun t -> String.starts_with ~prefix (Test.name t)) all_tests)
+  | _ ->
+      print_artifacts ();
+      print_ablations ();
+      print_parallel_dse ();
+      rule ();
+      print_endline "Timing (Bechamel, monotonic clock, OLS estimate per run)";
+      run_timings all_tests

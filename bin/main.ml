@@ -83,25 +83,39 @@ let metrics_flag =
            after the run.  The registry is process-global; the report is \
            the delta against a snapshot taken at command entry.")
 
+(* Open an output file before the work that fills it runs: a path that
+   cannot be written is a usage error (exit 2), reported as FILE: message
+   like an unreadable input. *)
+let open_output file =
+  try open_out file
+  with Sys_error msg ->
+    prerr_endline msg;
+    exit 2
+
 (* Run a command body under the observability flags: tracing is enabled
-   for the duration when --trace FILE is given (the JSON is written and a
-   summary goes to stderr afterwards, even if the body raises), and the
-   metrics recorded by this invocation are printed when --metrics is.
-   The metrics registry is process-global and survives across in-process
-   runs, so the report is a delta against the snapshot taken here — not
-   lifetime totals. *)
+   for the duration when --trace FILE is given (the file is opened first,
+   the JSON is written and a summary goes to stderr afterwards, even if
+   the body raises), and the metrics recorded by this invocation are
+   printed when --metrics is.  The metrics registry is process-global and
+   survives across in-process runs, so the report is a delta against the
+   snapshot taken here — not lifetime totals. *)
 let obs_wrap trace metrics f =
   let metrics_base = if metrics then Metrics.snapshot () else [] in
-  (match trace with
-  | Some _ ->
-      Trace.clear ();
-      Trace.enable ()
-  | None -> ());
+  let trace_out =
+    Option.map
+      (fun file ->
+        let oc = open_output file in
+        Trace.clear ();
+        Trace.enable ();
+        (file, oc))
+      trace
+  in
   Fun.protect f ~finally:(fun () ->
-      (match trace with
-      | Some file ->
+      (match trace_out with
+      | Some (file, oc) ->
           Trace.disable ();
-          Trace.write file;
+          output_string oc (Trace.to_json ());
+          close_out oc;
           prerr_string (Trace.summary ());
           Printf.eprintf "trace: wrote %s (open in https://ui.perfetto.dev)\n"
             file
@@ -563,9 +577,14 @@ let export_cmd =
       & info [ "o"; "outdir" ] ~docv:"DIR" ~doc:"Output directory.")
   in
   let run outdir =
-    (try Unix.mkdir outdir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    (try Unix.mkdir outdir 0o755 with
+    | Unix.Unix_error (Unix.EEXIST, _, _) when Sys.is_directory outdir -> ()
+    | Unix.Unix_error (e, _, _) ->
+        let e = if e = Unix.EEXIST then Unix.ENOTDIR else e in
+        Printf.eprintf "%s: %s\n" outdir (Unix.error_message e);
+        exit 2);
     let write name contents =
-      let oc = open_out (Filename.concat outdir name) in
+      let oc = open_output (Filename.concat outdir name) in
       output_string oc contents;
       close_out oc;
       Printf.printf "  wrote %s\n" (Filename.concat outdir name)
@@ -947,6 +966,7 @@ let timeline_cmd =
   let run bench config out json =
     (* compile before enabling the collector: the emitted JSON then holds
        only virtual-clock events and is bit-deterministic *)
+    let out = Option.map (fun file -> (file, open_output file)) out in
     let d = Experiments.design_of config bench in
     Trace.clear ();
     Trace.enable ();
@@ -956,8 +976,7 @@ let timeline_cmd =
     Trace.disable ();
     let trace_json = Trace.to_json () in
     (match out with
-    | Some file ->
-        let oc = open_out file in
+    | Some (file, oc) ->
         output_string oc trace_json;
         close_out oc;
         Printf.eprintf "timeline: wrote %s (open in https://ui.perfetto.dev)\n"
@@ -1032,6 +1051,7 @@ let profile_cmd =
   in
   let run target config tiles_spec sizes_spec json folded trace metrics =
     obs_wrap trace metrics @@ fun () ->
+    let folded = Option.map (fun file -> (file, open_output file)) folded in
     let resolve = resolve_bindings ~cmd:"profile" in
     let design, sizes =
       if Sys.file_exists target then begin
@@ -1081,8 +1101,7 @@ let profile_cmd =
     in
     let p = Profile.of_design design ~sizes in
     (match folded with
-    | Some file ->
-        let oc = open_out file in
+    | Some (file, oc) ->
         output_string oc (Profile.to_folded p);
         close_out oc;
         Printf.eprintf

@@ -159,11 +159,6 @@ let to_json () =
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
-let write file =
-  let oc = open_out file in
-  output_string oc (to_json ());
-  close_out oc
-
 (* ----------------------------- summary ----------------------------- *)
 
 type track_acc = {

@@ -17,7 +17,22 @@
 
     Designs whose loop structure exceeds {!val:max_events} controller
     instances fall back to the analytic engine for the offending subtree
-    (reported in {!result}); none of the paper's designs do. *)
+    (reported in {!result}); none of the paper's designs do.
+
+    The DRAM calendar keeps at most {!Calendar.max_spans} (2048) busy
+    spans.  Past that, the oldest half is coalesced into one busy span,
+    idle gaps included.  This is a pessimistic approximation: a later
+    request that would have back-filled one of those gaps must queue
+    after the block instead.  It fires on designs with many short
+    transfers, e.g. [+tiling] outerprod at simulation sizes, [+tiling]
+    gemm at twice those sizes, or conv2d at tiles 16×16 and par 4.
+
+    Cost: {!run} compiles the design once for its sizes and machine
+    (trip counts, compute cycles, per-access DRAM cycles and words, the
+    event-budget decision).  Each scheduled instance then costs a binary
+    search over the calendar plus work on the few spans the request
+    touches, so the time per event stays flat (0.1–0.3 µs on a 2-vCPU
+    x86 host) however long the calendar grows. *)
 
 (** {1 Timeline}
 
@@ -64,6 +79,30 @@ type result = {
 }
 
 val max_events : int
+
+(** {1 The DRAM calendar}
+
+    The memory interface's busy spans, exposed for unit tests. *)
+
+module Calendar : sig
+  type t
+
+  val max_spans : int
+  (** [2048]: past this many spans the oldest half is coalesced into one
+      busy span (see the header).  The coalescing runs after each
+      {!transfer}. *)
+
+  val create : unit -> t
+  (** An idle interface. *)
+
+  val transfer : t -> float -> float -> float
+  (** [transfer c t dur] books [dur] cycles of DRAM time, consuming the
+      idle gaps at or after [max t 0] in time order, and returns the
+      completion time ([t] itself when [dur <= 0]). *)
+
+  val spans : t -> (float * float) list
+  (** Busy spans, sorted and disjoint. *)
+end
 
 val run :
   ?machine:Machine.t ->

@@ -123,6 +123,124 @@ let test_fallback_on_huge_loops () =
   check_f "fallback cycles" (Simulate.run d ~sizes:[]).Simulate.cycles
     r.Event_sim.report.Simulate.cycles
 
+(* -------------------- DRAM calendar edge cases -------------------- *)
+
+(* The expected cycles and busy calendars below were recorded from the
+   engine as it was before the calendar update became windowed (a full
+   sort and merge of the calendar on every transfer); the windowed update
+   must reproduce them exactly. Loads of [w] words take 100 + w/8 cycles
+   on the default machine. *)
+
+let ev_cal d =
+  let r = Event_sim.run ~record:true d ~sizes:[] in
+  match r.Event_sim.timeline with
+  | Some tl -> (r.Event_sim.report.Simulate.cycles, tl.Event_sim.tl_dram_busy)
+  | None -> Alcotest.fail "no timeline recorded"
+
+let check_cal msg expected actual =
+  let show cal =
+    String.concat "; " (List.map (fun (s, e) -> Printf.sprintf "(%g, %g)" s e) cal)
+  in
+  if expected <> actual then
+    Alcotest.failf "%s: expected [%s], got [%s]" msg (show expected) (show actual)
+
+(* a pipe that streams [words] of "y" directly from DRAM: a contiguous
+   affine access with 96-word rows takes words / 96 * 20 cycles *)
+let dram_pipe ~words name =
+  pipe ~trips:[ Hw.Tconst 1.0 ]
+    ~dram:
+      [ { Hw.da_array = "y"; da_path = [ (Hw.Tconst words, true) ];
+          da_contiguous = true; da_affine = true; da_row_words = Hw.Tconst 96.0;
+          da_kind = `Read } ]
+    name
+
+(* a pipe of [c] compute cycles (depth 10 + c - 10 iterations) *)
+let busy c name = pipe ~trips:[ Hw.Tconst (c -. 10.0) ] name
+
+let par children = Hw.Par { name = "p"; children; prov = Prov.none }
+let seq children = Hw.Seq { name = "s"; children; prov = Prov.none }
+
+let test_cal_backfill () =
+  (* the Seq's load takes DRAM at 1010-1210 first; the later-visited
+     direct stream, requested at 0, back-fills the idle gap before it *)
+  let d =
+    design
+      (par [ seq [ busy 1010.0 "c"; load "late" ]; dram_pipe ~words:960.0 "early" ])
+  in
+  let cycles, cal = ev_cal d in
+  check_f "back-fill cycles" 1210.0 cycles;
+  check_cal "back-fill calendar" [ (0.0, 200.0); (1010.0, 1210.0) ] cal
+
+let test_cal_exact_fill () =
+  (* busy 0-200 and 400-600; a 200-cycle request at 0 fills the gap
+     exactly (gap = remaining), merging both neighbours into one span *)
+  let d =
+    design
+      (par
+         [ load "l1"; seq [ busy 400.0 "c"; load "l2" ];
+           seq [ load "l3"; busy 3000.0 "after" ] ])
+  in
+  let cycles, cal = ev_cal d in
+  check_f "exact fill: l3 ends at 400" 3400.0 cycles;
+  check_cal "exact fill calendar" [ (0.0, 600.0) ] cal
+
+let test_cal_several_gaps () =
+  (* busy 0-200, 300-500, 600-800, 1000-1200; a 250-cycle request at 0
+     takes the gaps 200-300 and 500-600, then 800-850, leaving the
+     850-1000 gap and the last span untouched *)
+  let at c name = seq [ busy c ("c_" ^ name); load name ] in
+  let d =
+    design
+      (par
+         [ load "a"; at 300.0 "b"; at 600.0 "c"; at 1000.0 "d";
+           seq [ load ~words:1200.0 "e"; busy 3000.0 "after" ] ])
+  in
+  let cycles, cal = ev_cal d in
+  check_f "several gaps: e ends at 850" 3850.0 cycles;
+  check_cal "several gaps calendar" [ (0.0, 850.0); (1000.0, 1200.0) ] cal
+
+let test_cal_clamps_negative_time () =
+  (* no design requests DRAM before cycle 0, so the clamp is checked on
+     the calendar itself: a request at t < 0 starts at 0 *)
+  let cal = Event_sim.Calendar.create () in
+  check_f "request at -50" 100.0 (Event_sim.Calendar.transfer cal (-50.0) 100.0);
+  check_cal "clamped span" [ (0.0, 100.0) ] (Event_sim.Calendar.spans cal);
+  check_f "second request at -1 queues after" 150.0
+    (Event_sim.Calendar.transfer cal (-1.0) 50.0);
+  check_cal "merged span" [ (0.0, 150.0) ] (Event_sim.Calendar.spans cal)
+
+(* [n] iterations of (100 compute cycles, then a 101-cycle load) leave
+   [n] disjoint busy spans (201k - 101, 201k); a late load of 200 cycles
+   is then requested at 0 and followed by 1e6 compute cycles *)
+let coalescing_design n =
+  design
+    (par
+       [ Hw.Loop
+           { name = "l"; trips = [ Hw.Tconst n ]; meta = false;
+             stages = [ busy 100.0 "c"; load ~words:8.0 "small" ];
+             prov = Prov.none };
+         seq [ load "late"; busy 1e6 "after" ] ])
+
+let test_cal_coalesces () =
+  (* 2048 spans are kept: the late load fills 0-100 and 201-301, merging
+     the first two spans *)
+  let cycles, cal = ev_cal (coalescing_design 2048.0) in
+  check_f "2048 spans: late load ends at 301" 1000301.0 cycles;
+  Alcotest.(check int) "2048 spans: none coalesced" 2047 (List.length cal);
+  (* past 2048 the oldest half is coalesced into one span (100-205824),
+     so the late load finds only the gap before it and must queue after
+     the block: it ends at 205924 (the approximation is pessimistic) *)
+  let cycles, _ = ev_cal (coalescing_design 2049.0) in
+  check_f "2049 spans: late load ends at 205924" 1205924.0 cycles;
+  let cycles, cal = ev_cal (coalescing_design 3000.0) in
+  check_f "3000 spans: late load ends at 205924" 1205924.0 cycles;
+  (* 2049 spans coalesce to 1026, 951 more follow; the late load fills
+     0-100 and the 100-cycle gap after the block, merging across both *)
+  Alcotest.(check int) "3000 spans: calendar spans" 1976 (List.length cal);
+  check_cal "3000 spans: coalesced head"
+    [ (0.0, 206025.0); (206125.0, 206226.0) ]
+    (List.filteri (fun i _ -> i < 2) cal)
+
 (* -------------------- suite cross-validation -------------------- *)
 
 let test_cross_validation () =
@@ -162,6 +280,17 @@ let () =
             test_double_buffer_dependency;
           Alcotest.test_case "event counts" `Quick test_event_counts;
           Alcotest.test_case "fallback" `Quick test_fallback_on_huge_loops ] );
+      ( "calendar",
+        [ Alcotest.test_case "back-fill before busy spans" `Quick
+            test_cal_backfill;
+          Alcotest.test_case "exact fill merges neighbours" `Quick
+            test_cal_exact_fill;
+          Alcotest.test_case "request spans several gaps" `Quick
+            test_cal_several_gaps;
+          Alcotest.test_case "t < 0 is clamped" `Quick
+            test_cal_clamps_negative_time;
+          Alcotest.test_case "past 2048 spans coalesces" `Quick
+            test_cal_coalesces ] );
       ( "cross-validation",
         [ Alcotest.test_case "suite x configs within 2%" `Quick
             test_cross_validation ] ) ]

@@ -2,9 +2,7 @@
    evaluation (printed first, in paper-shaped rows), then times each
    compiler/simulator stage with Bechamel — one Test.make per artifact.
 
-   Run: dune exec bench/main.exe
-   Time only the cases whose name starts with PREFIX (no tables):
-        dune exec bench/main.exe -- PREFIX *)
+   Run: dune exec bench/main.exe *)
 
 open Bechamel
 open Toolkit
@@ -465,7 +463,7 @@ let all_tests =
 (* Bechamel driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_timings tests =
+let run_timings () =
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.2) ~kde:None () in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
@@ -488,18 +486,12 @@ let run_timings tests =
               Printf.printf "%-40s %11.2f %s\n" name v unit
           | _ -> Printf.printf "%-40s %14s\n" name "n/a")
         analyzed)
-    tests
+    all_tests
 
 let () =
-  match Sys.argv with
-  | [| _; prefix |] ->
-      (* only time the cases whose name starts with [prefix] *)
-      run_timings
-        (List.filter (fun t -> String.starts_with ~prefix (Test.name t)) all_tests)
-  | _ ->
-      print_artifacts ();
-      print_ablations ();
-      print_parallel_dse ();
-      rule ();
-      print_endline "Timing (Bechamel, monotonic clock, OLS estimate per run)";
-      run_timings all_tests
+  print_artifacts ();
+  print_ablations ();
+  print_parallel_dse ();
+  rule ();
+  print_endline "Timing (Bechamel, monotonic clock, OLS estimate per run)";
+  run_timings ()

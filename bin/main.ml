@@ -83,9 +83,28 @@ let metrics_flag =
            after the run.  The registry is process-global; the report is \
            the delta against a snapshot taken at command entry.")
 
-(* Open an output file before the work that fills it runs: a path that
-   cannot be written is a usage error (exit 2), reported as FILE: message
-   like an unreadable input. *)
+(* Check that an output file can be written before the work that fills
+   it runs, without creating or truncating it: a path that cannot be
+   written is a usage error (exit 2), reported as FILE: message like an
+   unreadable input.  The file is opened by [open_output] once the output
+   is ready, so a usage error found on the way leaves it as it was. *)
+let check_output file =
+  let fail e =
+    Printf.eprintf "%s: %s\n" file (Unix.error_message e);
+    exit 2
+  in
+  let access path perms =
+    try Unix.access path perms with Unix.Unix_error (e, _, _) -> fail e
+  in
+  if Sys.file_exists file then
+    if Sys.is_directory file then fail Unix.EISDIR
+    else access file [ Unix.W_OK ]
+  else begin
+    let dir = Filename.dirname file in
+    access dir [ Unix.W_OK; Unix.X_OK ];
+    if not (Sys.is_directory dir) then fail Unix.ENOTDIR
+  end
+
 let open_output file =
   try open_out file
   with Sys_error msg ->
@@ -93,7 +112,7 @@ let open_output file =
     exit 2
 
 (* Run a command body under the observability flags: tracing is enabled
-   for the duration when --trace FILE is given (the file is opened first,
+   for the duration when --trace FILE is given (the file is checked first,
    the JSON is written and a summary goes to stderr afterwards, even if
    the body raises), and the metrics recorded by this invocation are
    printed when --metrics is.  The metrics registry is process-global and
@@ -101,19 +120,17 @@ let open_output file =
    snapshot taken here — not lifetime totals. *)
 let obs_wrap trace metrics f =
   let metrics_base = if metrics then Metrics.snapshot () else [] in
-  let trace_out =
-    Option.map
-      (fun file ->
-        let oc = open_output file in
-        Trace.clear ();
-        Trace.enable ();
-        (file, oc))
-      trace
-  in
+  Option.iter
+    (fun file ->
+      check_output file;
+      Trace.clear ();
+      Trace.enable ())
+    trace;
   Fun.protect f ~finally:(fun () ->
-      (match trace_out with
-      | Some (file, oc) ->
+      (match trace with
+      | Some file ->
           Trace.disable ();
+          let oc = open_output file in
           output_string oc (Trace.to_json ());
           close_out oc;
           prerr_string (Trace.summary ());
@@ -578,7 +595,9 @@ let export_cmd =
   in
   let run outdir =
     (try Unix.mkdir outdir 0o755 with
-    | Unix.Unix_error (Unix.EEXIST, _, _) when Sys.is_directory outdir -> ()
+    | Unix.Unix_error (Unix.EEXIST, _, _)
+      when Sys.file_exists outdir && Sys.is_directory outdir ->
+        ()
     | Unix.Unix_error (e, _, _) ->
         let e = if e = Unix.EEXIST then Unix.ENOTDIR else e in
         Printf.eprintf "%s: %s\n" outdir (Unix.error_message e);
@@ -966,7 +985,7 @@ let timeline_cmd =
   let run bench config out json =
     (* compile before enabling the collector: the emitted JSON then holds
        only virtual-clock events and is bit-deterministic *)
-    let out = Option.map (fun file -> (file, open_output file)) out in
+    Option.iter check_output out;
     let d = Experiments.design_of config bench in
     Trace.clear ();
     Trace.enable ();
@@ -976,7 +995,8 @@ let timeline_cmd =
     Trace.disable ();
     let trace_json = Trace.to_json () in
     (match out with
-    | Some (file, oc) ->
+    | Some file ->
+        let oc = open_output file in
         output_string oc trace_json;
         close_out oc;
         Printf.eprintf "timeline: wrote %s (open in https://ui.perfetto.dev)\n"
@@ -1051,7 +1071,7 @@ let profile_cmd =
   in
   let run target config tiles_spec sizes_spec json folded trace metrics =
     obs_wrap trace metrics @@ fun () ->
-    let folded = Option.map (fun file -> (file, open_output file)) folded in
+    Option.iter check_output folded;
     let resolve = resolve_bindings ~cmd:"profile" in
     let design, sizes =
       if Sys.file_exists target then begin
@@ -1101,7 +1121,8 @@ let profile_cmd =
     in
     let p = Profile.of_design design ~sizes in
     (match folded with
-    | Some (file, oc) ->
+    | Some file ->
+        let oc = open_output file in
         output_string oc (Profile.to_folded p);
         close_out oc;
         Printf.eprintf

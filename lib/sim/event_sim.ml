@@ -295,11 +295,8 @@ let add st i words =
 (* Acquire [dur] cycles of DRAM time starting no earlier than [t];
    returns the completion time. *)
 let dram_transfer st t dur =
-  if dur <= 0.0 then t
-  else begin
-    st.dram_busy <- st.dram_busy +. dur;
-    Calendar.transfer st.cal t dur
-  end
+  if dur > 0.0 then st.dram_busy <- st.dram_busy +. dur;
+  Calendar.transfer st.cal t dur
 
 let access st t a =
   add st a.a_slot a.a_words;

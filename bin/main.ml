@@ -5,24 +5,26 @@ open Cmdliner
 
 let benches () = Suite.extended ()
 
-let bench_conv =
-  let parse s =
-    match Suite.find (benches ()) s with
-    | b -> Ok b
-    | exception Not_found ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown benchmark %S (try: %s)" s
-                (String.concat ", "
-                   (List.map (fun b -> b.Suite.name) (benches ())))))
-  in
-  Arg.conv (parse, fun fmt b -> Format.pp_print_string fmt b.Suite.name)
+(* A target that Target rejects is a usage error: its message, exit 2. *)
+let or_exit = function
+  | Ok x -> x
+  | Error msg ->
+      prerr_endline msg;
+      exit 2
 
 let bench_arg =
-  Arg.(
-    required
-    & pos 0 (some bench_conv) None
-    & info [] ~docv:"BENCH" ~doc:"Benchmark name (see $(b,ppl-fpga list)).")
+  Term.(
+    const (fun s -> or_exit (Target.bench s))
+    $ Arg.(
+        required
+        & pos 0 (some string) None
+        & info [] ~docv:"BENCH" ~doc:"Benchmark name (see $(b,ppl-fpga list))."))
+
+(* An optional BENCH; omitted = the whole suite *)
+let suite_arg ~doc =
+  Term.(
+    const (function None -> benches () | Some s -> [ or_exit (Target.bench s) ])
+    $ Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc))
 
 let config_arg =
   let cfg_conv =
@@ -39,12 +41,20 @@ let config_arg =
            only), $(b,tiled) (tiling, sequential controllers), or $(b,meta) \
            (tiling + metapipelining).")
 
+(* The tiling stages in pipeline order: --stage name, report label, program *)
+let stages =
+  [ ("fused", "fused", fun (r : Tiling.result) -> r.fused);
+    ("stripped", "strip-mined", fun r -> r.stripped);
+    ("stripped-copies", "strip-mined+copies", fun r -> r.stripped_with_copies);
+    ("tiled", "interchanged", fun r -> r.tiled) ]
+
+let stage_progs r = List.map (fun (_, label, f) -> (label, f r)) stages
+
 let stage_arg =
   Arg.(
     value
-    & opt (enum [ ("fused", `Fused); ("stripped", `Stripped);
-                  ("stripped-copies", `Swc); ("tiled", `Tiled) ])
-        `Tiled
+    & opt (enum (List.map (fun (key, label, _) -> (key, label)) stages))
+        "interchanged"
     & info [ "s"; "stage" ] ~docv:"STAGE"
         ~doc:
           "Pipeline stage to show: $(b,fused), $(b,stripped) (after strip \
@@ -73,20 +83,19 @@ let trace_arg =
            or chrome://tracing.  A per-track summary is printed to \
            stderr.  See doc/OBSERVABILITY.md.")
 
+let flag_arg name doc = Arg.(value & flag & info [ name ] ~doc)
+
 let metrics_flag =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:
-          "Print the metrics recorded by this invocation (pass timers, \
-           simulator cache hit/miss counters, pool task counts, ...) \
-           after the run.  The registry is process-global; the report is \
-           the delta against a snapshot taken at command entry.")
+  flag_arg "metrics"
+    "Print the metrics recorded by this invocation (pass timers, \
+     simulator cache hit/miss counters, pool task counts, ...) \
+     after the run.  The registry is process-global; the report is \
+     the delta against a snapshot taken at command entry."
 
 (* Check that an output file can be written before the work that fills
    it runs, without creating or truncating it: a path that cannot be
    written is a usage error (exit 2), reported as FILE: message like an
-   unreadable input.  The file is opened by [open_output] once the output
+   unreadable input.  The file is opened by [write_output] once the output
    is ready, so a usage error found on the way leaves it as it was. *)
 let check_output file =
   let fail e =
@@ -105,8 +114,8 @@ let check_output file =
     if not (Sys.is_directory dir) then fail Unix.ENOTDIR
   end
 
-let open_output file =
-  try open_out file
+let write_output file contents =
+  try Out_channel.with_open_text file (fun oc -> output_string oc contents)
   with Sys_error msg ->
     prerr_endline msg;
     exit 2
@@ -130,9 +139,7 @@ let obs_wrap trace metrics f =
       (match trace with
       | Some file ->
           Trace.disable ();
-          let oc = open_output file in
-          output_string oc (Trace.to_json ());
-          close_out oc;
+          write_output file (Trace.to_json ());
           prerr_string (Trace.summary ());
           Printf.eprintf "trace: wrote %s (open in https://ui.perfetto.dev)\n"
             file
@@ -180,47 +187,74 @@ let print_json v = print_endline (Json.to_string v)
 
 let tiling_of bench = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog
 
-(* Resolve --tiles/--sizes NAME=N bindings against size parameters by
-   base name.  An unknown name, a value <= 0 or a value above the
-   parameter's [bound] (its declared maxsize, for --sizes) is a usage
-   error: the message names the binding and the command exits 2. *)
-let resolve_bindings ~cmd ~flag ?(bound = Fun.const None) params spec =
-  List.map
-    (fun (name, v) ->
-      let fail why =
-        Printf.eprintf "%s: %s %s=%d: %s\n" cmd flag name v why;
-        exit 2
-      in
-      match List.find_opt (fun s -> Sym.base s = name) params with
-      | None ->
-          fail
-            (Printf.sprintf "no size parameter %s (have: %s)" name
-               (String.concat ", " (List.map Sym.base params)))
-      | Some _ when v <= 0 -> fail "values must be positive"
-      | Some s -> (
-          match bound s with
-          | Some m when v > m ->
-              fail (Printf.sprintf "above the declared maxsize %s %d" name m)
-          | _ -> (s, v)))
-    spec
+let stage_prog bench label = List.assoc label (stage_progs (tiling_of bench))
 
-(* Read, parse and type-check a .ppl file; an unreadable file or a
-   malformed program is a usage error (exit 2) reported as FILE: message. *)
-let load_program file =
-  try
-    let text = In_channel.with_open_bin file In_channel.input_all in
-    let prog = Parser.program_of_string text in
-    ignore (Validate.check_program prog);
-    prog
-  with Sys_error msg | Parser.Parse_error msg | Validate.Type_error msg ->
-    Printf.eprintf "%s: %s\n" file msg;
-    exit 2
+(* The untiled program's result on seeded inputs at the test sizes:
+   those sizes and inputs, and whether a program computes that result
+   (on the same inputs unless rebound). *)
+let reference (bench : Suite.bench) =
+  let sizes = bench.Suite.test_sizes in
+  let inputs = bench.Suite.gen ~sizes ~seed:2026 in
+  let expected = Eval.eval_program bench.Suite.prog ~sizes ~inputs in
+  let agrees ?(sizes = sizes) ?(inputs = inputs) prog =
+    Value.equal ~eps:1e-6 expected (Eval.eval_program prog ~sizes ~inputs)
+  in
+  (sizes, inputs, agrees)
 
-let stage_prog bench = function
-  | `Fused -> (tiling_of bench).Tiling.fused
-  | `Stripped -> (tiling_of bench).Tiling.stripped
-  | `Swc -> (tiling_of bench).Tiling.stripped_with_copies
-  | `Tiled -> (tiling_of bench).Tiling.tiled
+(* Bounds.audit's findings, their violation count and the
+   "P proven, U unknown, V violations" tally *)
+let audit prog =
+  let accesses, ds = Bounds.audit prog in
+  let v = List.length (Diagnostic.errors ds) in
+  let u = List.length ds - v in
+  ( accesses, ds, v,
+    Printf.sprintf "%d proven, %d unknown, %d violations" (accesses - u - v) u v )
+
+(* The design's top-3 cycle sinks by source pattern, one line each *)
+let top_sinks ~indent d ~sizes =
+  String.concat ""
+    (List.map
+       (fun (o : Profile.origin_row) ->
+         Printf.sprintf "%s%-36s %14.0f cycles  %5.1f%%\n" indent o.origin
+           o.o_cycles (100.0 *. o.o_share))
+       (Profile.top_sinks (Profile.of_design d ~sizes) 3))
+
+(* Simulate under the chosen engine, returning the event run when it is
+   the report's engine.  The virtual timeline always comes from the event
+   engine, so a trace has a simulator section under either engine. *)
+let simulate_with ?cache ~ctx ~trace engine d ~sizes =
+  match engine with
+  | `Analytic ->
+      let rep = Simulate.run ?cache d ~sizes in
+      if trace <> None then
+        observe_event_run ctx trace (Event_sim.run ~record:true d ~sizes);
+      (rep, None)
+  | `Event ->
+      let r = Event_sim.run ~record:(trace <> None) d ~sizes in
+      observe_event_run ctx trace r;
+      (r.Event_sim.report, Some r)
+
+(* Each target's diagnostics, as text under its heading or as one JSON
+   array of objects led by its fields; exit 1 on any error severity. *)
+let print_diagnostics ~json results =
+  if json then
+    print_json
+      (List
+         (List.map
+            (fun (_, fields, ds) ->
+              Json.Obj
+                (fields
+                @ [ ("summary", Json.String (Diagnostic.summary ds));
+                    ("diagnostics", Diagnostic.list_to_json ds) ]))
+            results))
+  else
+    List.iter
+      (fun (heading, _, ds) ->
+        Printf.printf "%s: %s\n" heading (Diagnostic.summary ds);
+        Format.printf "%a" Diagnostic.pp_list ds)
+      results;
+  if List.exists (fun (_, _, ds) -> Diagnostic.has_errors ds) results then
+    exit 1
 
 (* ------------------------------ commands ---------------------------- *)
 
@@ -279,6 +313,13 @@ let dot_cmd =
           Fig. 6 view).")
     Term.(const run $ bench_arg $ config_arg)
 
+(* --tiles/--sizes NAME=N,... bindings, checked by Target *)
+let bindings_arg name docv doc =
+  Arg.(value & opt (list (pair ~sep:'=' string int)) [] & info [ name ] ~docv ~doc)
+
+let tiles_arg = bindings_arg "tiles" "NAME=SIZE,..."
+let sizes_arg = bindings_arg "sizes" "NAME=N,..."
+
 let engine_arg =
   Arg.(
     value
@@ -290,25 +331,19 @@ let engine_arg =
            handshakes and a DRAM calendar).")
 
 let breakdown_flag =
-  Arg.(value & flag & info [ "breakdown" ] ~doc:"Per-controller timing table.")
+  flag_arg "breakdown" "Per-controller timing table."
 
 let bottlenecks_flag =
-  Arg.(
-    value & flag
-    & info [ "bottlenecks" ]
-        ~doc:
-          "Per-metapipeline bottleneck table: the slowest stage and \
-           whether compute or DRAM sets the steady state (the analysis \
-           behind the gda rebalancing).")
+  flag_arg "bottlenecks"
+    "Per-metapipeline bottleneck table: the slowest stage and \
+     whether compute or DRAM sets the steady state (the analysis \
+     behind the gda rebalancing)."
 
 let json_flag =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "Machine-readable output: one JSON object with cycles, DRAM \
-           traffic and area (numbers formatted as in $(b,profile --json), \
-           so totals compare byte-for-byte).")
+  flag_arg "json"
+    "Machine-readable output: one JSON object with cycles, DRAM \
+     traffic and area (numbers formatted as in $(b,profile --json), \
+     so totals compare byte-for-byte)."
 
 let simulate_cmd =
   let run bench config engine breakdown bottlenecks json trace metrics =
@@ -317,34 +352,21 @@ let simulate_cmd =
     (* one cache serves the report, the breakdown and the bottleneck
        table from a single simulation tree *)
     let cache = Simulate.cache () in
-    let rep =
-      match engine with
-      | `Analytic ->
-          let rep = Simulate.run ~cache d ~sizes:bench.Suite.sim_sizes in
-          (* the virtual timeline always comes from the event engine, so a
-             trace has a simulator section under either engine *)
-          if trace <> None then
-            observe_event_run bench.Suite.name trace
-              (Event_sim.run ~record:true d ~sizes:bench.Suite.sim_sizes);
-          rep
-      | `Event ->
-          let r =
-            Event_sim.run ~record:(trace <> None) d
-              ~sizes:bench.Suite.sim_sizes
-          in
-          if not json then
-            Printf.printf
-              "(event engine: %d controller instances, %d fallbacks)\n"
-              r.Event_sim.events r.Event_sim.fallbacks;
-          observe_event_run bench.Suite.name trace r;
-          r.Event_sim.report
+    let rep, event =
+      simulate_with ~cache ~ctx:bench.Suite.name ~trace engine d
+        ~sizes:bench.Suite.sim_sizes
     in
+    (match event with
+    | Some r when not json ->
+        Printf.printf "(event engine: %d controller instances, %d fallbacks)\n"
+          r.Event_sim.events r.Event_sim.fallbacks
+    | _ -> ());
     let a = Area_model.of_design d in
     if json then
       print_json
         (report_json ~bench:bench.Suite.name
            ~config:(Experiments.config_name config)
-           ~engine:(match engine with `Analytic -> "analytic" | `Event -> "event")
+           ~engine:(if event = None then "analytic" else "event")
            rep a)
     else begin
       Printf.printf "%s / %s\n" bench.Suite.name
@@ -378,18 +400,11 @@ let simulate_cmd =
 let verify_cmd =
   let run bench =
     let r = tiling_of bench in
-    let sizes = bench.Suite.test_sizes in
-    let inputs = bench.Suite.gen ~sizes ~seed:2026 in
-    let reference = Eval.eval_program bench.Suite.prog ~sizes ~inputs in
+    let _, _, agrees = reference bench in
     List.iter
-      (fun (name, prog) ->
-        let v = Eval.eval_program prog ~sizes ~inputs in
-        Printf.printf "%-22s %s\n" name
-          (if Value.equal ~eps:1e-6 reference v then "ok" else "MISMATCH"))
-      [ ("fused", r.Tiling.fused);
-        ("strip-mined", r.Tiling.stripped);
-        ("strip-mined+copies", r.Tiling.stripped_with_copies);
-        ("interchanged", r.Tiling.tiled) ]
+      (fun (label, prog) ->
+        Printf.printf "%-22s %s\n" label (if agrees prog then "ok" else "MISMATCH"))
+      (stage_progs r)
   in
   Cmd.v
     (Cmd.info "verify"
@@ -421,11 +436,11 @@ let stats_cmd =
     List.iter
       (fun (name, prog) ->
         print_endline (Ir_stats.row name (Ir_stats.of_program prog)))
-      [ ("source", bench.Suite.prog);
-        ("fused", r.Tiling.fused);
-        ("strip-mined", r.Tiling.stripped);
-        ("with copies", r.Tiling.stripped_with_copies);
-        ("interchanged", r.Tiling.tiled) ]
+      (* the stats table's label column is 18 wide *)
+      (("source", bench.Suite.prog)
+      :: List.map
+           (function "strip-mined+copies", p -> ("with copies", p) | s -> s)
+           (stage_progs r))
   in
   Cmd.v
     (Cmd.info "stats"
@@ -448,13 +463,10 @@ let dse_cmd =
              sizes (default: the single default factor).")
   in
   let profile_flag =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "After the sweep, rebuild the selected design and print its \
-             top-3 cycle sinks by source pattern — what to optimize next \
-             at the chosen tile sizes.")
+    flag_arg "profile"
+      "After the sweep, rebuild the selected design and print its \
+       top-3 cycle sinks by source pattern — what to optimize next \
+       at the chosen tile sizes."
   in
   let run bench budget pars domains profile trace metrics =
     obs_wrap trace metrics @@ fun () ->
@@ -473,19 +485,13 @@ let dse_cmd =
               { Lower.default_opts with Lower.par = best.Dse.par }
               r.Tiling.tiled
           in
-          let p = Profile.of_design d ~sizes:bench.Suite.sim_sizes in
-          Printf.printf "\ntop cycle sinks for the selected tile (%s, par %d)\n"
+          Printf.printf "\ntop cycle sinks for the selected tile (%s, par %d)\n%s"
             (String.concat ", "
                (List.map
                   (fun (s, b) -> Printf.sprintf "%s=%d" (Sym.base s) b)
                   best.Dse.tiles))
-            best.Dse.par;
-          List.iter
-            (fun (o : Profile.origin_row) ->
-              Printf.printf "  %-36s %14.0f cycles  %5.1f%%\n" o.Profile.origin
-                o.Profile.o_cycles
-                (100.0 *. o.Profile.o_share))
-            (Profile.top_sinks p 3)
+            best.Dse.par
+            (top_sinks ~indent:"  " d ~sizes:bench.Suite.sim_sizes)
   in
   Cmd.v
     (Cmd.info "dse"
@@ -502,36 +508,24 @@ let compile_cmd =
   let file =
     Arg.(
       required
-      & pos 0 (some file) None
+      & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"A .ppl program (the syntax ir/export emit).")
   in
-  let tiles_arg =
-    Arg.(
-      value & opt (list (pair ~sep:'=' string int)) []
-      & info [ "tiles" ] ~docv:"NAME=SIZE,..."
-          ~doc:"Tile configuration by size-parameter base name.")
-  in
+  let tiles_arg = tiles_arg "Tile configuration by size-parameter base name." in
   let sizes_arg =
-    Arg.(
-      value & opt (list (pair ~sep:'=' string int)) []
-      & info [ "sizes" ] ~docv:"NAME=N,..."
-          ~doc:
-            "Concrete size-parameter values; when given, the compiled \
-             design is also simulated at them.")
+    sizes_arg
+      "Concrete size-parameter values; when given, the compiled design is \
+       also simulated at them."
   in
-  let run file tiles_spec sizes_spec engine trace metrics =
+  let run file tiles sizes engine trace metrics =
     obs_wrap trace metrics @@ fun () ->
-    let prog = load_program file in
-    let resolve ?bound flag =
-      resolve_bindings ~cmd:"compile" ~flag ?bound prog.Ir.size_params
+    let t =
+      or_exit (Target.resolve ~cmd:"compile" ~files_only:true ~tiles ~sizes file)
     in
-    let tiles = resolve "--tiles" tiles_spec in
-    let sizes =
-      resolve ~bound:(Ir.max_sizes_bound prog) "--sizes" sizes_spec
-    in
+    let prog = t.Target.prog in
     Printf.printf "parsed %s: %d IR nodes, result type ok\n" prog.Ir.pname
       (Rewrite.node_count prog.Ir.body);
-    let r = Tiling.run ~tiles prog in
+    let r = Tiling.run ~tiles:t.Target.tiles prog in
     print_endline (Pp.program_to_string r.Tiling.tiled);
     let d = Lower.program Lower.default_opts r.Tiling.tiled in
     print_string (Hw_pp.design_to_string d);
@@ -541,25 +535,13 @@ let compile_cmd =
         List.iter (fun f -> Format.printf "design check: %a@." Diagnostic.pp f) fs;
         if Diagnostic.has_errors fs then exit 1
         else Printf.printf "design check: ok (%s)\n" (Diagnostic.summary fs));
-    match sizes with
-    | [] -> ignore engine
-    | sizes ->
-        let rep =
-          match engine with
-          | `Analytic ->
-              let rep = Simulate.run d ~sizes in
-              if trace <> None then
-                observe_event_run prog.Ir.pname trace
-                  (Event_sim.run ~record:true d ~sizes);
-              rep
-          | `Event ->
-              let r = Event_sim.run ~record:(trace <> None) d ~sizes in
-              observe_event_run prog.Ir.pname trace r;
-              r.Event_sim.report
-        in
-        Format.printf "%a" Simulate.pp_report rep;
-        let a = Area_model.of_design d in
-        Format.printf "area: %a@." Area_model.pp a
+    if t.Target.sizes <> [] then begin
+      let rep, _ =
+        simulate_with ~ctx:prog.Ir.pname ~trace engine d ~sizes:t.Target.sizes
+      in
+      Format.printf "%a" Simulate.pp_report rep;
+      Format.printf "area: %a@." Area_model.pp (Area_model.of_design d)
+    end
   in
   Cmd.v
     (Cmd.info "compile"
@@ -572,19 +554,16 @@ let compile_cmd =
 
 let bounds_cmd =
   let run bench stage =
-    let prog = stage_prog bench stage in
-    let accesses, ds = Bounds.audit prog in
+    let accesses, ds, v, tally = audit (stage_prog bench stage) in
     Format.printf "%a" Diagnostic.pp_list ds;
-    let v = List.length (Diagnostic.errors ds) in
-    let u = List.length ds - v in
-    Printf.printf "%d accesses: %d proven, %d unknown, %d violations\n"
-      accesses (accesses - u - v) u v;
+    Printf.printf "%d accesses: %s\n" accesses tally;
     if v > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "bounds"
        ~doc:
-         "Statically verify that every input access of the (tiled) program           stays within its declared shape.")
+         "Statically verify that every input access of the (tiled) program \
+          stays within its declared shape.")
     Term.(const run $ bench_arg $ stage_arg)
 
 let export_cmd =
@@ -603,9 +582,7 @@ let export_cmd =
         Printf.eprintf "%s: %s\n" outdir (Unix.error_message e);
         exit 2);
     let write name contents =
-      let oc = open_output (Filename.concat outdir name) in
-      output_string oc contents;
-      close_out oc;
+      write_output (Filename.concat outdir name) contents;
       Printf.printf "  wrote %s\n" (Filename.concat outdir name)
     in
     List.iter
@@ -623,17 +600,15 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:
-         "Write every benchmark's tiled IR, MaxJ-like kernel, Graphviz           diagram and design listing to a directory.")
+         "Write every benchmark's tiled IR, MaxJ-like kernel, Graphviz \
+          diagram and design listing to a directory.")
     Term.(const run $ outdir)
 
 let traffic_cmd =
   let profile_flag =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "Also execute the tiled program in the interpreter (at test \
-             sizes) and report its independent per-input word counts.")
+    flag_arg "profile"
+      "Also execute the tiled program in the interpreter (at test \
+       sizes) and report its independent per-input word counts."
   in
   let run bench profile =
     let rows = Experiments.traffic ~profile bench in
@@ -650,20 +625,10 @@ let traffic_cmd =
     Term.(const run $ bench_arg $ profile_flag)
 
 let check_cmd =
-  let bench_opt =
-    Arg.(
-      value
-      & pos 0 (some bench_conv) None
-      & info [] ~docv:"BENCH"
-          ~doc:"Benchmark to check; omitted = the whole suite.")
-  in
   let profile_flag =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "After the checks, print each benchmark's top-3 cycle sinks \
-             by source pattern (meta configuration, simulation sizes).")
+    flag_arg "profile"
+      "After the checks, print each benchmark's top-3 cycle sinks \
+       by source pattern (meta configuration, simulation sizes)."
   in
   (* each bench's checks print into its own buffer, so the whole suite
      can run benches on parallel domains and still report in order *)
@@ -676,26 +641,22 @@ let check_cmd =
         (if detail = "" then "" else " (" ^ detail ^ ")");
       if not ok then incr failures
     in
+    let clean name ds =
+      report name (ds = [])
+        (String.concat "; " (List.map (Format.asprintf "%a" Diagnostic.pp) ds))
+    in
+    (* clean at error severity: the errors if not, else the summary *)
+    let lint_clean name ds =
+      if Diagnostic.has_errors ds then clean name (Diagnostic.errors ds)
+      else report name true (Diagnostic.summary ds)
+    in
     pr "%s\n" bench.Suite.name;
     (* 0. the source program is PPL-lint-clean at error severity — this
        runs before any tiling, where a race or legality finding still
        points at the pattern that caused it *)
-    let src_lints = Ppl_lint.check_all bench.Suite.prog in
-    report "lint-ir: source"
-      (not (Diagnostic.has_errors src_lints))
-      (if Diagnostic.has_errors src_lints then
-         String.concat "; "
-           (List.map
-              (Format.asprintf "%a" Diagnostic.pp)
-              (Diagnostic.errors src_lints))
-       else Diagnostic.summary src_lints);
+    lint_clean "lint-ir: source" (Ppl_lint.check_all bench.Suite.prog);
     let r = tiling_of bench in
-    let stages =
-      [ ("fused", r.Tiling.fused);
-        ("strip-mined", r.Tiling.stripped);
-        ("strip-mined+copies", r.Tiling.stripped_with_copies);
-        ("interchanged", r.Tiling.tiled) ]
-    in
+    let stages = stage_progs r in
     (* 1. every stage type-checks *)
     List.iter
       (fun (name, prog) ->
@@ -704,13 +665,9 @@ let check_cmd =
         | exception Validate.Type_error msg -> report ("types: " ^ name) false msg)
       stages;
     (* 2. every stage evaluates to the reference result *)
-    let sizes = bench.Suite.test_sizes in
-    let inputs = bench.Suite.gen ~sizes ~seed:2026 in
-    let reference = Eval.eval_program bench.Suite.prog ~sizes ~inputs in
+    let sizes, inputs, agrees = reference bench in
     List.iter
-      (fun (name, prog) ->
-        let v = Eval.eval_program prog ~sizes ~inputs in
-        report ("semantics: " ^ name) (Value.equal ~eps:1e-6 reference v) "")
+      (fun (name, prog) -> report ("semantics: " ^ name) (agrees prog) "")
       stages;
     (* 3. printed tiled IR parses back to an equivalent program *)
     (match
@@ -718,64 +675,46 @@ let check_cmd =
        (* the parser mints fresh symbols: rebind sizes by base name and
           inputs by declaration order *)
        let by_base = List.map (fun (s, v) -> (Sym.base s, v)) sizes in
-       let sizes' =
+       let sizes =
          List.map (fun s -> (s, List.assoc (Sym.base s) by_base)) parsed.Ir.size_params
        in
-       let inputs' =
+       let inputs =
          List.map2
            (fun (pi : Ir.input) (oi : Ir.input) ->
              (pi.Ir.iname, List.assoc oi.Ir.iname inputs))
            parsed.Ir.inputs bench.Suite.prog.Ir.inputs
        in
-       Eval.eval_program parsed ~sizes:sizes' ~inputs:inputs'
+       agrees parsed ~sizes ~inputs
      with
-    | v -> report "printer/parser roundtrip" (Value.equal ~eps:1e-6 reference v) ""
+    | ok -> report "printer/parser roundtrip" ok ""
     | exception e -> report "printer/parser roundtrip" false (Printexc.to_string e));
     (* 4. static bounds on the tiled program *)
-    let accesses, ds = Bounds.audit r.Tiling.tiled in
-    let v = List.length (Diagnostic.errors ds) in
-    let u = List.length ds - v in
-    report "bounds: tiled accesses" (v = 0)
-      (Printf.sprintf "%d proven, %d unknown, %d violations"
-         (accesses - u - v) u v);
-    (* 5. every configuration's design passes the hardware validator and
-       is lint-clean at error severity *)
-    List.iter
-      (fun cfg ->
-        let d = Experiments.design_of cfg bench in
-        let fs = Hw_check.check d in
-        report
-          ("design: " ^ Experiments.config_name cfg)
-          (fs = [])
-          (String.concat "; "
-             (List.map (Format.asprintf "%a" Diagnostic.pp) fs));
-        let ls = Hw_lint.check d in
-        report
-          ("lint: " ^ Experiments.config_name cfg)
-          (not (Diagnostic.has_errors ls))
-          (if Diagnostic.has_errors ls then
-             String.concat "; "
-               (List.map
-                  (Format.asprintf "%a" Diagnostic.pp)
-                  (Diagnostic.errors ls))
-           else Diagnostic.summary ls);
-        (* the source linter's tile-vs-cache predictions must agree with
-           the memories Lower actually instantiated for this config *)
-        let lowered_prog, cache_leftover =
-          match cfg with
-          | Experiments.Baseline -> (r.Tiling.fused, false)
-          | Experiments.Tiled | Experiments.Tiled_meta ->
-              (r.Tiling.tiled, true)
-        in
-        let xs = Ppl_lint.crosscheck ~cache_leftover lowered_prog d in
-        report
-          ("access classes: " ^ Experiments.config_name cfg)
-          (xs = [])
-          (String.concat "; "
-             (List.map (Format.asprintf "%a" Diagnostic.pp) xs)))
-      [ Experiments.Baseline; Experiments.Tiled; Experiments.Tiled_meta ];
+    let _, _, v, tally = audit r.Tiling.tiled in
+    report "bounds: tiled accesses" (v = 0) tally;
+    (* 5. every configuration's design, lowered from the one tiling,
+       passes the hardware validator and is lint-clean at error severity *)
+    let designs =
+      List.map
+        (fun cfg ->
+          let d = Experiments.lower cfg r in
+          let name = Experiments.config_name cfg in
+          clean ("design: " ^ name) (Hw_check.check d);
+          lint_clean ("lint: " ^ name) (Hw_lint.check d);
+          (* the source linter's tile-vs-cache predictions must agree with
+             the memories Lower actually instantiated for this config *)
+          let lowered_prog, cache_leftover =
+            match cfg with
+            | Experiments.Baseline -> (r.Tiling.fused, false)
+            | Experiments.Tiled | Experiments.Tiled_meta ->
+                (r.Tiling.tiled, true)
+          in
+          clean ("access classes: " ^ name)
+            (Ppl_lint.crosscheck ~cache_leftover lowered_prog d);
+          (cfg, d))
+        [ Experiments.Baseline; Experiments.Tiled; Experiments.Tiled_meta ]
+    in
     (* 6. the two simulation engines agree on the final design *)
-    let d = Experiments.design_of Experiments.Tiled_meta bench in
+    let d = List.assoc Experiments.Tiled_meta designs in
     let a = (Simulate.run d ~sizes:bench.Suite.sim_sizes).Simulate.cycles in
     let er = Event_sim.run d ~sizes:bench.Suite.sim_sizes in
     warn_fallbacks (bench.Suite.name ^ " (engines agree)") er;
@@ -785,22 +724,12 @@ let check_cmd =
     (* 7. the design fits the chip *)
     let area = Area_model.of_design d in
     report "fits Stratix V" (Area_model.fits area) "";
-    if profile then begin
-      let p = Profile.of_design d ~sizes:bench.Suite.sim_sizes in
-      pr "  top cycle sinks (meta):\n";
-      List.iter
-        (fun (o : Profile.origin_row) ->
-          pr "    %-36s %14.0f cycles  %5.1f%%\n" o.Profile.origin
-            o.Profile.o_cycles
-            (100.0 *. o.Profile.o_share))
-        (Profile.top_sinks p 3)
-    end;
+    if profile then
+      pr "  top cycle sinks (meta):\n%s"
+        (top_sinks ~indent:"    " d ~sizes:bench.Suite.sim_sizes);
     !failures
   in
-  let run bench_opt domains profile =
-    let targets =
-      match bench_opt with Some b -> [ b ] | None -> benches ()
-    in
+  let run targets domains profile =
     let results =
       Pool.map ?domains
         (fun b ->
@@ -831,56 +760,28 @@ let check_cmd =
           printer/parser roundtrip, static bounds, access-classification \
           cross-check against the lowered memories, analytic/event engine \
           agreement, and chip fit.")
-    Term.(const run $ bench_opt $ domains_arg $ profile_flag)
+    Term.(
+      const run
+      $ suite_arg ~doc:"Benchmark to check; omitted = the whole suite."
+      $ domains_arg $ profile_flag)
 
 let lint_cmd =
-  let bench_opt =
-    Arg.(
-      value
-      & pos 0 (some bench_conv) None
-      & info [] ~docv:"BENCH"
-          ~doc:"Benchmark to lint; omitted = the whole suite.")
-  in
   let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Machine-readable output: a JSON array of per-design objects, \
-             each with the design name and its diagnostics.")
+    flag_arg "json"
+      "Machine-readable output: a JSON array of per-design objects, \
+       each with the design name and its diagnostics."
   in
-  let run bench_opt config json =
-    let targets =
-      match bench_opt with Some b -> [ b ] | None -> benches ()
-    in
-    let results =
-      List.map
-        (fun (b : Suite.bench) ->
-          let d = Experiments.design_of config b in
-          (b.Suite.name, d.Hw.design_name, Hw_lint.check_all d))
-        targets
-    in
-    if json then
-      print_json
-        (List
-           (List.map
-              (fun (bench, design, ds) ->
-                Json.Obj
-                  [ ("bench", String bench); ("design", String design);
-                    ("config", String (Experiments.config_name config));
-                    ("summary", String (Diagnostic.summary ds));
-                    ("diagnostics", Diagnostic.list_to_json ds) ])
-              results))
-    else
-      List.iter
-        (fun (bench, _, ds) ->
-          Printf.printf "%s / %s: %s\n" bench
-            (Experiments.config_name config)
-            (Diagnostic.summary ds);
-          Format.printf "%a" Diagnostic.pp_list ds)
-        results;
-    if List.exists (fun (_, _, ds) -> Diagnostic.has_errors ds) results then
-      exit 1
+  let run targets config json =
+    let cfg = Experiments.config_name config in
+    print_diagnostics ~json
+      (List.map
+         (fun (b : Suite.bench) ->
+           let d = Experiments.design_of config b in
+           ( b.Suite.name ^ " / " ^ cfg,
+             [ ("bench", Json.String b.Suite.name);
+               ("design", String d.Hw.design_name); ("config", String cfg) ],
+             Hw_lint.check_all d ))
+         targets)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -891,7 +792,10 @@ let lint_cmd =
           FIFO rate/deadlock analysis, tile-capacity overflows, and \
           performance hints.  Codes are cataloged in doc/LINTS.md.  Exits \
           non-zero iff any error-severity diagnostic is produced.")
-    Term.(const run $ bench_opt $ config_arg $ json_flag)
+    Term.(
+      const run
+      $ suite_arg ~doc:"Benchmark to lint; omitted = the whole suite."
+      $ config_arg $ json_flag)
 
 let lint_ir_cmd =
   let target =
@@ -904,12 +808,9 @@ let lint_ir_cmd =
              suite.")
   in
   let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Machine-readable output: a JSON array of per-program objects, \
-             each with the program name and its diagnostics.")
+    flag_arg "json"
+      "Machine-readable output: a JSON array of per-program objects, \
+       each with the program name and its diagnostics."
   in
   let run target json =
     let progs =
@@ -918,36 +819,15 @@ let lint_ir_cmd =
           List.map
             (fun (b : Suite.bench) -> (b.Suite.name, b.Suite.prog))
             (benches ())
-      | Some t when Sys.file_exists t ->
-          [ (Filename.basename t, load_program t) ]
-      | Some t -> (
-          match Suite.find (benches ()) t with
-          | b -> [ (b.Suite.name, b.Suite.prog) ]
-          | exception Not_found ->
-              Printf.eprintf "unknown benchmark or file %S\n" t;
-              exit 2)
+      | Some t ->
+          let t = or_exit (Target.resolve ~cmd:"lint-ir" t) in
+          [ (t.Target.name, t.Target.prog) ]
     in
-    let results =
-      List.map (fun (name, prog) -> (name, Ppl_lint.check_all prog)) progs
-    in
-    if json then
-      print_json
-        (List
-           (List.map
-              (fun (name, ds) ->
-                Json.Obj
-                  [ ("program", String name);
-                    ("summary", String (Diagnostic.summary ds));
-                    ("diagnostics", Diagnostic.list_to_json ds) ])
-              results))
-    else
-      List.iter
-        (fun (name, ds) ->
-          Printf.printf "%s: %s\n" name (Diagnostic.summary ds);
-          Format.printf "%a" Diagnostic.pp_list ds)
-        results;
-    if List.exists (fun (_, ds) -> Diagnostic.has_errors ds) results then
-      exit 1
+    print_diagnostics ~json
+      (List.map
+         (fun (name, prog) ->
+           (name, [ ("program", Json.String name) ], Ppl_lint.check_all prog))
+         progs)
   in
   Cmd.v
     (Cmd.info "lint-ir"
@@ -996,9 +876,7 @@ let timeline_cmd =
     let trace_json = Trace.to_json () in
     (match out with
     | Some file ->
-        let oc = open_output file in
-        output_string oc trace_json;
-        close_out oc;
+        write_output file trace_json;
         Printf.eprintf "timeline: wrote %s (open in https://ui.perfetto.dev)\n"
           file
     | None -> if not json then print_string trace_json);
@@ -1020,10 +898,10 @@ let timeline_cmd =
           controller, plus the DRAM-busy track) as Chrome/Perfetto \
           trace-event JSON on stdout; a per-track utilization summary \
           goes to stderr.  The output is deterministic: bit-identical \
-          across runs.  An unknown benchmark name is a clean usage error \
-          (non-zero exit).  With $(b,--json) stdout instead carries the \
-          same machine-readable report object as $(b,simulate --json) \
-          (pass $(b,-o) to still write the trace).")
+          across runs.  An unknown benchmark name is a usage error (exit \
+          2).  With $(b,--json) stdout instead carries the same \
+          machine-readable report object as $(b,simulate --json) (pass \
+          $(b,-o) to still write the trace).")
     Term.(const run $ bench_arg $ config_arg $ out_arg $ json_flag)
 
 let profile_cmd =
@@ -1035,28 +913,19 @@ let profile_cmd =
           ~doc:"Benchmark name or a .ppl source file.")
   in
   let tiles_arg =
-    Arg.(
-      value & opt (list (pair ~sep:'=' string int)) []
-      & info [ "tiles" ] ~docv:"NAME=SIZE,..."
-          ~doc:
-            "Tile configuration by size-parameter base name (.ppl targets \
-             only; $(b,-c) fixes a benchmark's tiles).")
+    tiles_arg
+      "Tile configuration by size-parameter base name (.ppl targets only; \
+       $(b,-c) fixes a benchmark's tiles)."
   in
   let sizes_arg =
-    Arg.(
-      value & opt (list (pair ~sep:'=' string int)) []
-      & info [ "sizes" ] ~docv:"NAME=N,..."
-          ~doc:
-            "Concrete size-parameter values to profile at (required for \
-             .ppl targets; benchmarks default to their simulation sizes).")
+    sizes_arg
+      "Concrete size-parameter values to profile at (required for .ppl \
+       targets; benchmarks default to their simulation sizes)."
   in
   let profile_json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Machine-readable output: the full attribution tree and \
-             per-origin table as one JSON object.")
+    flag_arg "json"
+      "Machine-readable output: the full attribution tree and \
+       per-origin table as one JSON object."
   in
   let folded_arg =
     Arg.(
@@ -1069,62 +938,23 @@ let profile_cmd =
              weight = self cycles) to $(docv); feed to flamegraph.pl or \
              speedscope.")
   in
-  let run target config tiles_spec sizes_spec json folded trace metrics =
+  let run target config tiles sizes json folded trace metrics =
     obs_wrap trace metrics @@ fun () ->
     Option.iter check_output folded;
-    let resolve = resolve_bindings ~cmd:"profile" in
-    let design, sizes =
-      if Sys.file_exists target then begin
-        let prog = load_program target in
-        let sizes =
-          resolve ~flag:"--sizes" ~bound:(Ir.max_sizes_bound prog)
-            prog.Ir.size_params sizes_spec
-        in
-        if sizes = [] then begin
-          Printf.eprintf
-            "profile: %s: --sizes NAME=N,... is required for .ppl targets\n"
-            target;
-          exit 2
-        end;
-        let tiles = resolve ~flag:"--tiles" prog.Ir.size_params tiles_spec in
-        let r = Tiling.run ~tiles prog in
-        (Lower.program Lower.default_opts r.Tiling.tiled, sizes)
-      end
-      else
-        match Suite.find (benches ()) target with
-        | b ->
-            if tiles_spec <> [] then begin
-              Printf.eprintf
-                "profile: %s: --tiles applies to .ppl targets only (-c \
-                 fixes a benchmark's tiles)\n"
-                target;
-              exit 2
-            end;
-            (* --sizes overrides the benchmark's simulation sizes *)
-            let over =
-              resolve ~flag:"--sizes"
-                ~bound:(Ir.max_sizes_bound b.Suite.prog)
-                (List.map fst b.Suite.sim_sizes) sizes_spec
-            in
-            let sizes =
-              List.map
-                (fun (s, v) ->
-                  (s, Option.value (List.assq_opt s over) ~default:v))
-                b.Suite.sim_sizes
-            in
-            (Experiments.design_of config b, sizes)
-        | exception Not_found ->
-            Printf.eprintf "unknown benchmark or file %S (try: %s)\n" target
-              (String.concat ", "
-                 (List.map (fun b -> b.Suite.name) (benches ())));
-            exit 2
+    let t =
+      or_exit (Target.resolve ~cmd:"profile" ~need_sizes:true ~tiles ~sizes target)
     in
-    let p = Profile.of_design design ~sizes in
+    let design =
+      match t.Target.bench with
+      | Some b -> Experiments.design_of config b
+      | None ->
+          Lower.program Lower.default_opts
+            (Tiling.run ~tiles:t.Target.tiles t.Target.prog).Tiling.tiled
+    in
+    let p = Profile.of_design design ~sizes:t.Target.sizes in
     (match folded with
     | Some file ->
-        let oc = open_output file in
-        output_string oc (Profile.to_folded p);
-        close_out oc;
+        write_output file (Profile.to_folded p);
         Printf.eprintf
           "profile: wrote %s (render with flamegraph.pl or speedscope)\n" file
     | None -> ());
@@ -1153,9 +983,6 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
-let verbose_arg =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Trace compiler passes.")
-
 let () =
   let info =
     Cmd.info "ppl-fpga" ~version:"1.0.0"
@@ -1163,7 +990,6 @@ let () =
         "Configurable hardware from parallel patterns: tiling and \
          metapipelining compiler with an FPGA performance model."
   in
-  ignore verbose_arg;
   (* light-weight: -v anywhere on the command line enables pass tracing
      (stripped before cmdliner parses the rest) *)
   let verbose = Array.exists (fun a -> a = "-v" || a = "--verbose") Sys.argv in

@@ -5,13 +5,15 @@ let config_name = function
   | Tiled -> "+tiling"
   | Tiled_meta -> "+tiling+metapipelining"
 
-let design_of config (bench : Suite.bench) =
-  let r = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog in
+let lower config (r : Tiling.result) =
   match config with
   | Baseline -> Lower.program Lower.baseline_opts r.Tiling.fused
   | Tiled ->
       Lower.program { Lower.default_opts with Lower.meta = false } r.Tiling.tiled
   | Tiled_meta -> Lower.program Lower.default_opts r.Tiling.tiled
+
+let design_of config (bench : Suite.bench) =
+  lower config (Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog)
 
 (* ------------------------------ Fig. 7 ------------------------------ *)
 

@@ -8,8 +8,12 @@ type config = Baseline | Tiled | Tiled_meta
 
 val config_name : config -> string
 
+val lower : config -> Tiling.result -> Hw.design
+(** Lower a tiling result for the configuration: the fused program for
+    [Baseline], the tiled one otherwise. *)
+
 val design_of : config -> Suite.bench -> Hw.design
-(** Run the tiling pipeline appropriate to the configuration and lower. *)
+(** Tile the benchmark with its own tiles, then {!lower}. *)
 
 (** {1 Figure 7} *)
 

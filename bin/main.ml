@@ -945,11 +945,7 @@ let profile_cmd =
       or_exit (Target.resolve ~cmd:"profile" ~need_sizes:true ~tiles ~sizes target)
     in
     let design =
-      match t.Target.bench with
-      | Some b -> Experiments.design_of config b
-      | None ->
-          Lower.program Lower.default_opts
-            (Tiling.run ~tiles:t.Target.tiles t.Target.prog).Tiling.tiled
+      Experiments.lower config (Tiling.run ~tiles:t.Target.tiles t.Target.prog)
     in
     let p = Profile.of_design design ~sizes:t.Target.sizes in
     (match folded with

@@ -6,8 +6,8 @@ type mem = {
   width_bits : int;
   depth : int;
   banks : int;
-  mutable readers : int;
-  mutable writers : int;
+  readers : int;
+  writers : int;
   mem_prov : Prov.t;
 }
 
@@ -153,6 +153,16 @@ let children = function
   | Loop { stages; _ } -> stages
   | Pipe _ | Tile_load _ | Tile_store _ -> []
 
+let mem_writes = function
+  | Pipe { defines; _ } -> defines
+  | Tile_load { mem; _ } -> [ mem ]
+  | Seq _ | Par _ | Loop _ | Tile_store _ -> []
+
+let mem_reads = function
+  | Pipe { uses; _ } -> uses
+  | Tile_store { mem = Some m; _ } -> [ m ]
+  | Seq _ | Par _ | Loop _ | Tile_load _ | Tile_store { mem = None; _ } -> []
+
 let rec iter_ctrls f c =
   f c;
   List.iter (iter_ctrls f) (children c)
@@ -167,6 +177,13 @@ let iter_ctrls_path f c =
 let rec fold_ctrls f acc c =
   let acc = f acc c in
   List.fold_left (fold_ctrls f) acc (children c)
+
+let subtree accesses c =
+  List.sort_uniq String.compare
+    (fold_ctrls (fun acc c -> List.rev_append (accesses c) acc) [] c)
+
+let subtree_writes = subtree mem_writes
+let subtree_reads = subtree mem_reads
 
 let ctrl_prov = function
   | Seq { prov; _ } | Par { prov; _ } | Loop { prov; _ } | Pipe { prov; _ }

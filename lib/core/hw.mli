@@ -6,7 +6,14 @@
     parallel, metapipeline, tile load/store units, pipelined compute).
     The design is the compilation target of {!Lower}, the input of the
     cycle simulator ({!Simulate}) and the area model ({!Area_model}), and
-    what {!Maxj} prints as hardware-generation-language text. *)
+    what {!Maxj} prints as hardware-generation-language text.
+
+    {!mem_reads} and {!mem_writes} are the one definition of which
+    on-chip memories a controller reads and writes.  Metapipeline
+    promotion and port counting ({!Metapipe}), the structural checks
+    ({!Hw_check}) and the semantic lints ({!Hw_lint}) all call them
+    rather than matching on the fields themselves; only {!Lower}, which
+    fills the fields in, and the printers read the fields directly. *)
 
 (** {1 Memories} *)
 
@@ -24,8 +31,8 @@ type mem = {
   width_bits : int;  (** element width *)
   depth : int;  (** static element capacity *)
   banks : int;  (** banking factor for parallel access *)
-  mutable readers : int;
-  mutable writers : int;
+  readers : int;  (** read ports: one per read access ({!mem_reads}) *)
+  writers : int;  (** write ports: one per write access ({!mem_writes}) *)
   mem_prov : Prov.t;  (** source pattern the buffer serves; metadata only *)
 }
 
@@ -163,5 +170,26 @@ val iter_ctrls_path : (string list -> ctrl -> unit) -> ctrl -> unit
     outermost first (the root is visited with [[]]). *)
 
 val children : ctrl -> ctrl list
+
+(** {1 Memory accesses} *)
+
+val mem_writes : ctrl -> string list
+(** The on-chip memories one controller writes, not its children's: a
+    pipe's [defines], a tile load's destination [mem].  A memory listed
+    twice is two write ports, so duplicates are kept. *)
+
+val mem_reads : ctrl -> string list
+(** The on-chip memories one controller reads: a pipe's [uses], a tile
+    store's source [Some mem] (a store of a value that never lives
+    on-chip reads none).  Duplicates are kept, as in {!mem_writes}. *)
+
+val subtree_writes : ctrl -> string list
+(** {!mem_writes} over every controller of a subtree, sorted and
+    deduplicated. *)
+
+val subtree_reads : ctrl -> string list
+(** {!mem_reads} over every controller of a subtree, sorted and
+    deduplicated. *)
+
 val find_mem : design -> string -> mem
 (** @raise Not_found *)

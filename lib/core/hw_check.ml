@@ -1,12 +1,3 @@
-(* memory names referenced by a controller, split into write-side and
-   read-side references *)
-let mem_refs c =
-  match c with
-  | Hw.Pipe { uses; defines; _ } -> (defines, uses)
-  | Hw.Tile_load { mem; _ } -> ([ mem ], [])
-  | Hw.Tile_store { mem = Some m; _ } -> ([], [ m ])
-  | _ -> ([], [])
-
 let check (d : Hw.design) =
   let diags = ref [] in
   let bad ?(path = []) ~code where fmt =
@@ -48,18 +39,13 @@ let check (d : Hw.design) =
   let written = Hashtbl.create 16 and read = Hashtbl.create 16 in
   let under_meta = Hashtbl.create 16 in
   let rec walk path meta c =
-    let w, r = mem_refs c in
     let here = path @ [ Hw.ctrl_name c ] in
-    List.iter
-      (fun n ->
-        if not (Hashtbl.mem written n) then Hashtbl.add written n here;
-        if meta then Hashtbl.replace under_meta n ())
-      w;
-    List.iter
-      (fun n ->
-        if not (Hashtbl.mem read n) then Hashtbl.add read n here;
-        if meta then Hashtbl.replace under_meta n ())
-      r;
+    let note tbl n =
+      if not (Hashtbl.mem tbl n) then Hashtbl.add tbl n here;
+      if meta then Hashtbl.replace under_meta n ()
+    in
+    List.iter (note written) (Hw.mem_writes c);
+    List.iter (note read) (Hw.mem_reads c);
     let meta' =
       match c with Hw.Loop { meta = m; _ } -> meta || m | _ -> meta
     in

@@ -1,9 +1,10 @@
 (* Semantic lints over a lowered design.  Hw_check answers "is this a
    design at all"; this module answers "does this design honor the
    guarantees the paper's hardware templates rely on".  Each analysis
-   re-derives its invariant from the controller tree alone, so a buggy
-   lowering (or a hand-edited design) disagreeing with what Lower and
-   Metapipe.finalize should have produced is flagged. *)
+   re-derives its invariant from the controller tree alone, reading
+   accesses through Hw.mem_reads/mem_writes, so a buggy lowering (or a
+   hand-edited design) disagreeing with what Lower and Metapipe.finalize
+   should have produced is flagged. *)
 
 let dedup l = List.sort_uniq String.compare l
 
@@ -64,30 +65,9 @@ let rates_disagree ta tb =
 
 (* ----------------------- design traversals ---------------------- *)
 
-(* memories written / read anywhere in a controller subtree *)
-let subtree_writes c =
-  dedup
-    (Hw.fold_ctrls
-       (fun acc c ->
-         match c with
-         | Hw.Pipe { defines; _ } -> defines @ acc
-         | Hw.Tile_load { mem; _ } -> mem :: acc
-         | _ -> acc)
-       [] c)
-
-let subtree_reads c =
-  dedup
-    (Hw.fold_ctrls
-       (fun acc c ->
-         match c with
-         | Hw.Pipe { uses; _ } -> uses @ acc
-         | Hw.Tile_store { mem = Some m; _ } -> m :: acc
-         | _ -> acc)
-       [] c)
-
 let rec effectful c =
   match c with
-  | Hw.Pipe { defines; dram; _ } -> defines <> [] || dram <> []
+  | Hw.Pipe { dram; _ } -> Hw.mem_writes c <> [] || dram <> []
   | Hw.Tile_load _ | Hw.Tile_store _ -> true
   | _ -> List.exists effectful (Hw.children c)
 
@@ -116,33 +96,22 @@ type mem_ref = {
 
 let collect_refs (d : Hw.design) =
   let refs = ref [] in
-  let add r = refs := r :: !refs in
   let rec go path loops c =
     let name = Hw.ctrl_name c in
-    (match c with
-    | Hw.Pipe { trips; uses; defines; _ } ->
-        let own = Hw.trip_product trips in
-        List.iter
-          (fun n ->
-            add
-              { r_mem = n; r_write = true; r_path = path; r_node = name;
-                r_own = own; r_loops = loops })
-          (dedup defines);
-        List.iter
-          (fun n ->
-            add
-              { r_mem = n; r_write = false; r_path = path; r_node = name;
-                r_own = own; r_loops = loops })
-          (dedup uses)
-    | Hw.Tile_load { mem; words; _ } ->
-        add
-          { r_mem = mem; r_write = true; r_path = path; r_node = name;
-            r_own = words; r_loops = loops }
-    | Hw.Tile_store { mem = Some m; words; _ } ->
-        add
-          { r_mem = m; r_write = false; r_path = path; r_node = name;
-            r_own = words; r_loops = loops }
-    | _ -> ());
+    let own =
+      match c with
+      | Hw.Pipe { trips; _ } -> Hw.trip_product trips
+      | Hw.Tile_load { words; _ } | Hw.Tile_store { words; _ } -> words
+      | Hw.Seq _ | Hw.Par _ | Hw.Loop _ -> Hw.Tconst 1.0
+    in
+    let add r_write r_mem =
+      refs :=
+        { r_mem; r_write; r_path = path; r_node = name; r_own = own;
+          r_loops = loops }
+        :: !refs
+    in
+    List.iter (add true) (dedup (Hw.mem_writes c));
+    List.iter (add false) (dedup (Hw.mem_reads c));
     let loops' =
       match c with
       | Hw.Loop { trips; _ } -> loops @ [ (name, trips) ]
@@ -235,7 +204,8 @@ let check (d : Hw.design) =
       | Hw.Loop { name; meta = true; stages; _ } ->
           let infos =
             List.map
-              (fun s -> (Hw.ctrl_name s, subtree_writes s, subtree_reads s))
+              (fun s ->
+                (Hw.ctrl_name s, Hw.subtree_writes s, Hw.subtree_reads s))
               stages
           in
           List.iteri
@@ -294,7 +264,7 @@ let check (d : Hw.design) =
   Hw.iter_ctrls_path
     (fun path c ->
       match c with
-      | Hw.Pipe { name; par; uses; defines; _ } when par > 1 ->
+      | Hw.Pipe { name; par; _ } when par > 1 ->
           List.iter
             (fun n ->
               match mem n with
@@ -308,24 +278,20 @@ let check (d : Hw.design) =
                     par n m.Hw.banks
                     (if m.Hw.banks = 1 then "" else "s")
               | _ -> ())
-            (dedup (uses @ defines))
+            (dedup (Hw.mem_reads c @ Hw.mem_writes c))
       | _ -> ())
     d.Hw.top;
-  (* recount reader/writer ports exactly as Metapipe.finalize does and
-     flag disagreement with the declared counts *)
+  (* recount reader/writer ports from the access rule, in a loop of
+     the lint's own rather than Metapipe.finalize's, and flag
+     disagreement with the declared counts *)
   let readers = Hashtbl.create 16 and writers = Hashtbl.create 16 in
   let bump tbl n =
     Hashtbl.replace tbl n (1 + Option.value ~default:0 (Hashtbl.find_opt tbl n))
   in
   Hw.iter_ctrls
     (fun c ->
-      match c with
-      | Hw.Pipe { uses; defines; _ } ->
-          List.iter (bump readers) uses;
-          List.iter (bump writers) defines
-      | Hw.Tile_load { mem; _ } -> bump writers mem
-      | Hw.Tile_store { mem = Some m; _ } -> bump readers m
-      | _ -> ())
+      List.iter (bump readers) (Hw.mem_reads c);
+      List.iter (bump writers) (Hw.mem_writes c))
     d.Hw.top;
   List.iter
     (fun m ->
@@ -393,23 +359,24 @@ let check (d : Hw.design) =
   Hw.iter_ctrls_path
     (fun path c ->
       match c with
-      | Hw.Tile_load { name; mem = mn; words; _ } -> (
-          match (mem mn, trip_const words) with
-          | Some m, Some w when w > float_of_int m.Hw.depth ->
-              emit ~path ~code:"HW130" ~severity:Diagnostic.Error name
-                "loads a %.0f-word tile into %s which holds %d words: the \
-                 tile footprint under the enclosing iteration space exceeds \
-                 the declared depth"
-                w mn m.Hw.depth
-          | _ -> ())
-      | Hw.Tile_store { name; mem = Some mn; words; _ } -> (
-          match (mem mn, trip_const words) with
-          | Some m, Some w when w > float_of_int m.Hw.depth ->
-              emit ~path ~code:"HW130" ~severity:Diagnostic.Error name
-                "stores a %.0f-word tile out of %s which holds only %d \
-                 words: the staged region cannot have been buffered"
-                w mn m.Hw.depth
-          | _ -> ())
+      | Hw.Tile_load { name; words; _ } | Hw.Tile_store { name; words; _ } ->
+          List.iter
+            (fun mn ->
+              match (mem mn, trip_const words, c) with
+              | Some m, Some w, Hw.Tile_load _
+                when w > float_of_int m.Hw.depth ->
+                  emit ~path ~code:"HW130" ~severity:Diagnostic.Error name
+                    "loads a %.0f-word tile into %s which holds %d words: the \
+                     tile footprint under the enclosing iteration space \
+                     exceeds the declared depth"
+                    w mn m.Hw.depth
+              | Some m, Some w, _ when w > float_of_int m.Hw.depth ->
+                  emit ~path ~code:"HW130" ~severity:Diagnostic.Error name
+                    "stores a %.0f-word tile out of %s which holds only %d \
+                     words: the staged region cannot have been buffered"
+                    w mn m.Hw.depth
+              | _ -> ())
+            (Hw.mem_writes c @ Hw.mem_reads c)
       | _ -> ())
     d.Hw.top;
 
@@ -434,7 +401,7 @@ let check (d : Hw.design) =
           (* overlap-eligible: a forward cross-stage producer/consumer
              chain is exactly what metapipelining overlaps *)
           let infos =
-            List.map (fun s -> (subtree_writes s, subtree_reads s)) stages
+            List.map (fun s -> (Hw.subtree_writes s, Hw.subtree_reads s)) stages
           in
           let eligible =
             List.exists

@@ -10,6 +10,15 @@
     produces a plausible-but-wrong number — so the linter's job is to
     reject or warn instead.
 
+    Every analysis reads a controller's memory accesses through the one
+    rule in {!Hw} ({!Hw.mem_reads}, {!Hw.mem_writes} and their subtree
+    forms) and matches on no access field itself.  HW101's
+    stage-coupling loop and HW111's port recount aggregate those
+    accesses in code of their own and never call {!Metapipe}: they are
+    the independent re-derivation of what {!Metapipe.finalize}
+    computes, so a fault in finalize's aggregation is flagged rather
+    than shared.
+
     Analyses and codes (full catalog with examples in [doc/LINTS.md]):
 
     - {b Metapipeline races} — HW101 (error): a memory written by one

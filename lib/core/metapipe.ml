@@ -1,25 +1,3 @@
-let dedup l = List.sort_uniq String.compare l
-
-let stage_writes c =
-  dedup
-    (Hw.fold_ctrls
-       (fun acc c ->
-         match c with
-         | Hw.Pipe { defines; _ } -> defines @ acc
-         | Hw.Tile_load { mem; _ } -> mem :: acc
-         | _ -> acc)
-       [] c)
-
-let stage_reads c =
-  dedup
-    (Hw.fold_ctrls
-       (fun acc c ->
-         match c with
-         | Hw.Pipe { uses; _ } -> uses @ acc
-         | Hw.Tile_store { mem = Some m; _ } -> m :: acc
-         | _ -> acc)
-       [] c)
-
 (* memories that couple two different stages of a metapipeline *)
 let promoted design =
   let promote = Hashtbl.create 16 in
@@ -27,7 +5,7 @@ let promoted design =
     (function
       | Hw.Loop { meta = true; stages; _ } ->
           let infos =
-            List.map (fun s -> (stage_writes s, stage_reads s)) stages
+            List.map (fun s -> (Hw.subtree_writes s, Hw.subtree_reads s)) stages
           in
           List.iteri
             (fun i (writes, _) ->
@@ -79,47 +57,30 @@ let rec annotate_stage_provs c =
 let finalize_uninstrumented (design : Hw.design) =
   let design = { design with Hw.top = annotate_stage_provs design.Hw.top } in
   let promote = promoted design in
+  (* reader/writer port counts: one per access in the controller tree *)
+  let readers = Hashtbl.create 16 and writers = Hashtbl.create 16 in
+  let count tbl n = Option.value ~default:0 (Hashtbl.find_opt tbl n) in
+  let bump tbl n = Hashtbl.replace tbl n (count tbl n + 1) in
+  Hw.iter_ctrls
+    (fun c ->
+      List.iter (bump readers) (Hw.mem_reads c);
+      List.iter (bump writers) (Hw.mem_writes c))
+    design.Hw.top;
   let mems =
     List.map
       (fun m ->
-        if Hashtbl.mem promote m.Hw.mem_name && m.Hw.kind = Hw.Buffer then
-          { m with Hw.kind = Hw.Double_buffer }
-        else m)
+        let n = m.Hw.mem_name in
+        let kind =
+          if Hashtbl.mem promote n && m.Hw.kind = Hw.Buffer then
+            Hw.Double_buffer
+          else m.Hw.kind
+        in
+        { m with
+          Hw.kind;
+          readers = count readers n;
+          writers = count writers n })
       design.Hw.mems
   in
-  (* reader/writer port counts *)
-  List.iter
-    (fun m ->
-      m.Hw.readers <- 0;
-      m.Hw.writers <- 0)
-    mems;
-  let find name = List.find_opt (fun m -> m.Hw.mem_name = name) mems in
-  Hw.iter_ctrls
-    (fun c ->
-      match c with
-      | Hw.Pipe { uses; defines; _ } ->
-          List.iter
-            (fun n ->
-              match find n with
-              | Some m -> m.Hw.readers <- m.Hw.readers + 1
-              | None -> ())
-            uses;
-          List.iter
-            (fun n ->
-              match find n with
-              | Some m -> m.Hw.writers <- m.Hw.writers + 1
-              | None -> ())
-            defines
-      | Hw.Tile_load { mem; _ } -> (
-          match find mem with
-          | Some m -> m.Hw.writers <- m.Hw.writers + 1
-          | None -> ())
-      | Hw.Tile_store { mem = Some mem; _ } -> (
-          match find mem with
-          | Some m -> m.Hw.readers <- m.Hw.readers + 1
-          | None -> ())
-      | _ -> ())
-    design.Hw.top;
   { design with Hw.mems }
 
 let finalize (design : Hw.design) =

@@ -9,11 +9,14 @@
     buffered, the centroids preload is not).
 
     Also fills in each memory's reader/writer port counts from the
-    finished controller tree. *)
+    finished controller tree, one port per access.
+
+    Both derive from the access rule {!Hw.mem_reads}/{!Hw.mem_writes}
+    (a stage's sets are {!Hw.subtree_reads}/{!Hw.subtree_writes}).
+    {!Hw_lint}'s HW101 and HW111 re-derive the coupling set and the port
+    counts from that same rule in their own loops, without calling this
+    module, so a bug in either aggregation shows as a lint finding. *)
 
 val finalize : Hw.design -> Hw.design
-
-val stage_writes : Hw.ctrl -> string list
-(** All on-chip memories written anywhere within a controller subtree. *)
-
-val stage_reads : Hw.ctrl -> string list
+(** A new design: memories are rebuilt with their promoted kind and
+    port counts; the input design is left unchanged. *)

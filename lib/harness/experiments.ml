@@ -276,10 +276,7 @@ let traffic ?machine ?(profile = false) ?sizes (bench : Suite.bench) =
     | None -> if profile then bench.Suite.test_sizes else bench.Suite.sim_sizes
   in
   let r = Tiling.run ~tiles:bench.Suite.tiles bench.Suite.prog in
-  let base = Lower.program Lower.baseline_opts r.Tiling.fused in
-  let tiled =
-    Lower.program { Lower.default_opts with Lower.meta = false } r.Tiling.tiled
-  in
+  let base = lower Baseline r and tiled = lower Tiled r in
   let rep_b = Simulate.run ?machine base ~sizes in
   let rep_t = Simulate.run ?machine tiled ~sizes in
   let prof =

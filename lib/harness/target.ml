@@ -37,7 +37,7 @@ let load file =
       Error (if String.starts_with ~prefix msg then msg else prefix ^ msg)
 
 let bindings ~cmd ~flag prog params spec =
-  let bind (name, v) =
+  let bind bound (name, v) =
     let fail why = Error (Printf.sprintf "%s: %s %s=%d: %s" cmd flag name v why) in
     match List.find_opt (fun s -> Sym.base s = name) params with
     | None ->
@@ -45,18 +45,19 @@ let bindings ~cmd ~flag prog params spec =
           (Printf.sprintf "no size parameter %s (have: %s)" name
              (String.concat ", " (List.map Sym.base params)))
     | Some _ when v <= 0 -> fail "values must be positive"
+    | Some s when List.mem_assq s bound ->
+        fail
+          (Printf.sprintf "%s is already bound to %d" name (List.assq s bound))
     | Some s -> (
         match Ir.max_sizes_bound prog s with
         | Some m when v > m ->
             fail (Printf.sprintf "above the declared maxsize %s %d" name m)
-        | _ -> Ok (s, v))
+        | _ -> Ok ((s, v) :: bound))
   in
-  List.fold_right
-    (fun b acc ->
-      let* sv = bind b in
-      let* rest = acc in
-      Ok (sv :: rest))
-    spec (Ok [])
+  let* bound =
+    List.fold_left (fun acc b -> let* bound = acc in bind bound b) (Ok []) spec
+  in
+  Ok (List.rev bound)
 
 let resolve ~cmd ?(files_only = false) ?(need_sizes = false) ?(tiles = [])
     ?(sizes = []) target =

@@ -32,8 +32,10 @@ val resolve :
     cannot be read, parsed or type-checked is [FILE: message].
 
     Bindings name size parameters by base name.  An unknown name, a
-    value <= 0 or a value above the parameter's declared [maxsize] is
-    rejected as [CMD: FLAG NAME=N: why].  [--tiles] applies to files
-    only (a benchmark brings its own tiles), and [~need_sizes] rejects a
-    file target without [--sizes].  Files bind [--sizes] before
-    [--tiles]; the first rejection is the one reported. *)
+    value <= 0, a name bound twice in one flag or a value above the
+    parameter's declared [maxsize] is rejected as
+    [CMD: FLAG NAME=N: why], the leftmost one in the flag first.
+    [--tiles] applies to files only (a benchmark brings its own tiles),
+    and [~need_sizes] rejects a file target without [--sizes].  Files
+    bind [--sizes] before [--tiles]; the first rejection is the one
+    reported. *)

@@ -25,32 +25,22 @@ let mem ?(kind = Hw.Buffer) ?(depth = 64) ?(banks = 4) name =
   { Hw.mem_name = name; kind; width_bits = 32; depth; banks;
     readers = 0; writers = 0; mem_prov = Prov.none }
 
-(* the port recount Metapipe.finalize performs, without its promotion —
+(* the port counts Metapipe.finalize assigns, without its promotion —
    adversarial designs stay adversarial but carry honest port counts *)
 let recount (d : Hw.design) =
-  List.iter
-    (fun m ->
-      m.Hw.readers <- 0;
-      m.Hw.writers <- 0)
-    d.Hw.mems;
-  let find n = List.find_opt (fun m -> m.Hw.mem_name = n) d.Hw.mems in
-  let bump_r n =
-    match find n with Some m -> m.Hw.readers <- m.Hw.readers + 1 | None -> ()
+  let count accesses n =
+    Hw.fold_ctrls
+      (fun k c -> k + List.length (List.filter (String.equal n) (accesses c)))
+      0 d.Hw.top
   in
-  let bump_w n =
-    match find n with Some m -> m.Hw.writers <- m.Hw.writers + 1 | None -> ()
-  in
-  Hw.iter_ctrls
-    (fun c ->
-      match c with
-      | Hw.Pipe { uses; defines; _ } ->
-          List.iter bump_r uses;
-          List.iter bump_w defines
-      | Hw.Tile_load { mem; _ } -> bump_w mem
-      | Hw.Tile_store { mem = Some m; _ } -> bump_r m
-      | _ -> ())
-    d.Hw.top;
-  d
+  { d with
+    Hw.mems =
+      List.map
+        (fun m ->
+          { m with
+            Hw.readers = count Hw.mem_reads m.Hw.mem_name;
+            writers = count Hw.mem_writes m.Hw.mem_name })
+        d.Hw.mems }
 
 let design ?(mems = []) top =
   recount { Hw.design_name = "t"; mems; top; par_factor = 4 }
@@ -166,9 +156,8 @@ let test_port_counts () =
   let d = design ~mems:[ mem "m"; mem "out" ] top in
   check_not d "HW111";
   (* stale declared counts are flagged *)
-  let m = Hw.find_mem d "m" in
-  m.Hw.readers <- 5;
-  check_has d "HW111"
+  let stale m = if m.Hw.mem_name = "m" then { m with Hw.readers = 5 } else m in
+  check_has { d with Hw.mems = List.map stale d.Hw.mems } "HW111"
 
 (* ------------------- 3. FIFO rates / deadlock ------------------- *)
 

@@ -69,6 +69,17 @@ let test_above_maxsize () =
        (Target.resolve ~cmd:"compile" ~files_only:true
           ~tiles:[ ("n", 1048576) ] saxpy))
 
+let test_bound_twice () =
+  rejects ~expect:"compile: --sizes n=128: n is already bound to 64"
+    (Target.resolve ~cmd:"compile" ~files_only:true
+       ~sizes:[ ("n", 64); ("n", 128) ] saxpy);
+  rejects ~expect:"compile: --tiles n=32: n is already bound to 32"
+    (Target.resolve ~cmd:"compile" ~files_only:true
+       ~tiles:[ ("n", 32); ("n", 32) ] saxpy);
+  rejects ~expect:"profile: --sizes m=128: m is already bound to 64"
+    (Target.resolve ~cmd:"profile" ~sizes:[ ("m", 64); ("n", 64); ("m", 128) ]
+       "gemm")
+
 let test_profile_needs_sizes () =
   rejects
     ~expect:"profile: ../corpus/saxpy.ppl: --sizes NAME=N,... is required"
@@ -159,6 +170,7 @@ let () =
           Alcotest.test_case "unknown binding" `Quick test_unknown_binding;
           Alcotest.test_case "value <= 0" `Quick test_nonpositive;
           Alcotest.test_case "above maxsize" `Quick test_above_maxsize;
+          Alcotest.test_case "name bound twice" `Quick test_bound_twice;
           Alcotest.test_case "profile .ppl without --sizes" `Quick
             test_profile_needs_sizes;
           Alcotest.test_case "--tiles on a benchmark" `Quick test_tiles_on_bench;

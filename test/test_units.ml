@@ -1,6 +1,7 @@
 (* Direct unit tests for the small analysis helpers: combine-function
    analysis (Combs), pipeline-depth estimation (Depth), the split-cost
-   heuristic (Split_cost), and metapipeline finalization (Metapipe). *)
+   heuristic (Split_cost), the hardware IR's memory-access rule
+   (Hw.mem_reads/mem_writes) and metapipeline finalization (Metapipe). *)
 
 open Dsl
 
@@ -163,11 +164,11 @@ let test_metapipe_stage_sets () =
   List.iter
     (fun w ->
       Alcotest.(check bool) (w ^ " declared") true (List.mem w names))
-    (Metapipe.stage_writes d.Hw.top);
+    (Hw.subtree_writes d.Hw.top);
   List.iter
     (fun r ->
       Alcotest.(check bool) (r ^ " declared") true (List.mem r names))
-    (Metapipe.stage_reads d.Hw.top)
+    (Hw.subtree_reads d.Hw.top)
 
 let test_metapipe_ports_positive () =
   let b = Suite.find (Suite.all ()) "gemm" in
@@ -175,8 +176,8 @@ let test_metapipe_ports_positive () =
   List.iter
     (fun m ->
       let used =
-        List.mem m.Hw.mem_name (Metapipe.stage_reads d.Hw.top)
-        || List.mem m.Hw.mem_name (Metapipe.stage_writes d.Hw.top)
+        List.mem m.Hw.mem_name (Hw.subtree_reads d.Hw.top)
+        || List.mem m.Hw.mem_name (Hw.subtree_writes d.Hw.top)
       in
       if used then
         Alcotest.(check bool)
@@ -196,6 +197,72 @@ let test_metapipe_idempotent () =
       Alcotest.(check bool) (m.Hw.mem_name ^ " kind stable") true
         (m.Hw.kind = m2.Hw.kind))
     d.Hw.mems d2.Hw.mems
+
+(* The access rule every aggregation shares: what one controller itself
+   reads and writes, duplicates kept because each access is a port. *)
+let test_access_rule () =
+  let pipe =
+    Hw.Pipe
+      { name = "p"; trips = [ Hw.Tconst 4.0 ]; template = Hw.Vector; par = 1;
+        depth = 1; ii = 1;
+        ops =
+          { Hw.flops = 0; int_ops = 0; cmp_ops = 0; mem_reads = 2;
+            mem_writes = 1 };
+        body = None; dram = []; uses = [ "a"; "a" ]; defines = [ "c" ];
+        prov = Prov.none }
+  in
+  let load =
+    Hw.Tile_load
+      { name = "ld"; mem = "a"; array = "x"; words = Hw.Tconst 4.0; path = [];
+        reuse = 1; prov = Prov.none }
+  in
+  let store name mem =
+    Hw.Tile_store
+      { name; mem; array = "y"; words = Hw.Tconst 4.0; path = [];
+        prov = Prov.none }
+  in
+  let seq =
+    Hw.Seq
+      { name = "s"; children = [ load; pipe; store "st" (Some "c") ];
+        prov = Prov.none }
+  in
+  let par =
+    Hw.Par
+      { name = "q"; children = [ seq; store "st0" None ]; prov = Prov.none }
+  in
+  let loop =
+    Hw.Loop
+      { name = "l"; trips = [ Hw.Tconst 2.0 ]; meta = false; stages = [ par ];
+        prov = Prov.none }
+  in
+  let sets = Alcotest.(list string) in
+  List.iter
+    (fun (c, reads, writes) ->
+      Alcotest.check sets (Hw.ctrl_name c ^ " reads") reads (Hw.mem_reads c);
+      Alcotest.check sets (Hw.ctrl_name c ^ " writes") writes (Hw.mem_writes c))
+    [ (pipe, [ "a"; "a" ], [ "c" ]); (load, [], [ "a" ]);
+      (store "st" (Some "c"), [ "c" ], []); (store "st0" None, [], []);
+      (seq, [], []); (par, [], []); (loop, [], []) ];
+  Alcotest.check sets "subtree reads" [ "a"; "c" ] (Hw.subtree_reads loop);
+  Alcotest.check sets "subtree writes" [ "a"; "c" ] (Hw.subtree_writes loop);
+  (* a memory listed twice is two ports; finalize leaves its input alone *)
+  let mem name =
+    { Hw.mem_name = name; kind = Hw.Buffer; width_bits = 32; depth = 16;
+      banks = 1; readers = 0; writers = 0; mem_prov = Prov.none }
+  in
+  let d =
+    { Hw.design_name = "t"; mems = [ mem "a"; mem "c" ]; top = loop;
+      par_factor = 1 }
+  in
+  let ports d =
+    List.map (fun m -> (m.Hw.mem_name, (m.Hw.readers, m.Hw.writers))) d.Hw.mems
+  in
+  let table = Alcotest.(list (pair string (pair int int))) in
+  Alcotest.check table "finalized ports"
+    [ ("a", (2, 1)); ("c", (1, 1)) ]
+    (ports (Metapipe.finalize d));
+  Alcotest.check table "input untouched" [ ("a", (0, 0)); ("c", (0, 0)) ]
+    (ports d)
 
 (* ---------------- Simplify ---------------- *)
 
@@ -239,7 +306,9 @@ let () =
           Alcotest.test_case "ports positive" `Quick
             test_metapipe_ports_positive;
           Alcotest.test_case "finalize idempotent" `Quick
-            test_metapipe_idempotent ] );
+            test_metapipe_idempotent;
+          Alcotest.test_case "access rule and port counts" `Quick
+            test_access_rule ] );
       ( "simplify",
         [ Alcotest.test_case "identities" `Quick test_simplify_identities ] )
     ]
